@@ -18,7 +18,7 @@ from .construct import (
 )
 from .errors import ConsistencyError, ParameterError, SearchSpaceError, UnsupportedCaseError
 from .gapbound import GapBoundCase, case1_blocks, extremal_sequence, gap_upper_bound
-from .numtheory import DuSet, GfContext, canonical_du, factorize, is_du, mod_inverse
+from .numtheory import DuSet, GfContext, canonical_du, du_violation, factorize, is_du
 from .oracle import (
     EnumerationReport,
     brute_hamming_profile,
@@ -36,6 +36,7 @@ from .seeds import (
     b1_construct,
     cyclotomic_construct,
     is_valid_b,
+    lift_seed,
     pipeline_seed_to_wgfhs,
     qr_construct,
     valid_b_patterns,
@@ -46,12 +47,9 @@ from .sequence import (
     auto_profile,
     cross_profile,
     frequency_counts,
-    hamming_cross,
-    is_lg_optimal,
     is_uniform,
     lg_bound,
     max_auto,
-    max_cross,
     min_gap,
     sorted_alphabet_gap_bound,
     wg_lg_bound,

@@ -16,9 +16,6 @@ from .errors import ParameterError, SearchSpaceError, UnsupportedCaseError
 from .report import render_table2, table_row_for, verify_sequence
 from .sequence import Fhs, auto_profile, cross_profile, max_auto
 
-RECURSIVE_CONSTRAINTS = "gcd(l,d1)=gcd(l,d2)=gcd(l,d2-d1)=m"
-RECURSIVE_GAP_CONSTRAINTS = RECURSIVE_CONSTRAINTS + ", d1+d2<l-m+2"
-
 
 def _ints(text: str) -> tuple[int, ...]:
     try:
@@ -29,20 +26,34 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _read_json(path: str):
     try:
-        raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                raw = handle.read()
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ParameterError(f"JSON in {path} is nested too deeply") from None
 
 
-def _load_fhs(path: str) -> Fhs:
-    obj = _read_json(path)
+def _fhs_from(obj) -> Fhs:
+    """A bare sequence object, or the "fhs" field of a whole construction output."""
     if isinstance(obj, dict) and "fhs" in obj:
-        obj = obj["fhs"]  # accept whole construction outputs, not just bare sequences
+        obj = obj["fhs"]
     return Fhs.from_json_dict(obj)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def _dump(obj, args) -> str:
@@ -112,11 +123,9 @@ def _cmd_construct(args):
         fhs = construct.construct_recursive_shifted(params, args.shift_k)
     else:
         fhs = construct.construct_recursive(params)
-    order_h = max_auto(params.order_seq.as_fhs())
-    has_gap = construct.gap_condition(args.l, args.d1, args.d2)
     claims = {
-        "max_auto": order_h,
-        "min_gap": (args.d1 - 1) if has_gap and not args.shift_k else None,
+        "max_auto": max_auto(params.order_seq.as_fhs()),
+        "min_gap": None if args.shift_k else params.guaranteed_gap,
     }
     return _construction_output(
         fhs,
@@ -130,7 +139,7 @@ def _cmd_construct(args):
             "shift_k": args.shift_k,
         },
         claims,
-        RECURSIVE_GAP_CONSTRAINTS if has_gap else RECURSIVE_CONSTRAINTS,
+        params.constraints,
     )
 
 
@@ -150,7 +159,7 @@ def _build_seed(args) -> tuple[Fhs, dict]:
         if args.p is None or args.modulus is None or args.e is None:
             raise ParameterError("cyclotomic seed needs --p, --modulus, and --e")
         ctx = seeds.GfContext(args.p, _ints(args.modulus))
-        params = seeds.CyclotomyParams(ctx, args.e, args.special_log)
+        params = seeds.CyclotomyParams(ctx, args.e)
         return (
             seeds.cyclotomic_construct(params),
             {"kind": "cyclotomic", "q": ctx.q, "e": args.e, "f": params.f},
@@ -171,38 +180,34 @@ def _cmd_seed(args):
 
 def _cmd_pipeline(args):
     seed, meta = _build_seed(args)
-    u = seeds.pipeline_seed_to_wgfhs(seed, args.l, args.d1, args.d2, args.lift_index)
-    m = seed.alphabet_size
-    pi = construct.lift_at_index(construct.OrderSeq(m, seed.symbols), args.lift_index)
-    has_gap = construct.gap_condition(args.l, args.d1, args.d2)
+    params = seeds.lift_seed(seed, args.l, args.d1, args.d2, args.lift_index)
     out = _construction_output(
-        u,
+        construct.construct_recursive(params),
         {
             "kind": "pipeline",
             "seed": meta,
             "l": args.l,
             "d1": args.d1,
             "d2": args.d2,
-            "m": m,
+            "m": params.m,
             "lift_index": args.lift_index,
         },
-        {"max_auto": 2, "min_gap": (args.d1 - 1) if has_gap else None},
-        RECURSIVE_GAP_CONSTRAINTS if has_gap else RECURSIVE_CONSTRAINTS,
+        {"max_auto": 2, "min_gap": params.guaranteed_gap},
+        params.constraints,
     )
     out["seed_fhs"] = seed.to_json_dict()
-    out["pi"] = list(pi)
+    out["pi"] = list(params.pi)
     return out
 
 
 def _cmd_verify(args):
-    fhs = _load_fhs(args.input)
-    return verify_sequence(fhs).to_json_dict()
+    return verify_sequence(_fhs_from(_read_json(args.input))).to_json_dict()
 
 
 def _cmd_profile(args):
-    first = _load_fhs(args.input)
+    first = _fhs_from(_read_json(args.input))
     if args.second:
-        profile = cross_profile(first, _load_fhs(args.second))
+        profile = cross_profile(first, _fhs_from(_read_json(args.second)))
         start = 0
     else:
         profile = auto_profile(first)
@@ -244,16 +249,14 @@ def _cmd_table2(args):
     rows = []
     for path in args.inputs:
         obj = _read_json(path)
-        if isinstance(obj, dict) and "fhs" in obj:
-            fhs = Fhs.from_json_dict(obj["fhs"])
+        if not isinstance(obj, dict):
+            raise ParameterError(f"{path}: expected a sequence, construction output, or row object")
+        if "fhs" in obj or "seq" in obj:
+            fhs = _fhs_from(obj)
             label = obj.get("construction", {}).get("kind", path)
             rows.append(table_row_for(fhs, obj.get("constraints"), label))
-        elif isinstance(obj, dict) and "seq" in obj:
-            rows.append(table_row_for(Fhs.from_json_dict(obj), label=path))
-        elif isinstance(obj, dict):
-            rows.append(obj)
         else:
-            raise ParameterError(f"{path}: expected a sequence, construction output, or row object")
+            rows.append(obj)
     return render_table2(rows)
 
 
@@ -288,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--p", type=int)
         q.add_argument("--modulus", help="field modulus polynomial, ascending coefficients")
         q.add_argument("--e", type=int)
-        q.add_argument("--special-log", dest="special_log", type=int)
         q.add_argument("--b", help="binary block pattern, comma-separated")
         q.add_argument("--x", help="residue picks, comma-separated")
         q.add_argument("--alpha", type=int)
@@ -345,7 +347,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
+        text = _dump(args.func(args), args)
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -355,12 +361,6 @@ def main(argv=None) -> int:
     except SearchSpaceError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 4
-    text = _dump(result, args)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

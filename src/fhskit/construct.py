@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ParameterError
+from .numtheory import du_violation
 from .sequence import Fhs
+
+
+def _ds_symbols(l: int, d: int, offset: int, length: int) -> tuple[int, ...]:
+    return tuple((i * d + offset) % l for i in range(length))
 
 
 def ds_sequence(l: int, d: int, offset: int = 0, length: int | None = None) -> Fhs:
@@ -28,7 +32,7 @@ def ds_sequence(l: int, d: int, offset: int = 0, length: int | None = None) -> F
         length = l
     if length < 1:
         raise ParameterError(f"need length >= 1, got {length}")
-    return Fhs(l, tuple((i * d + offset) % l for i in range(length)))
+    return Fhs(l, _ds_symbols(l, d, offset, length))
 
 
 def unit_step_min_gap(l: int, steps) -> int:
@@ -36,19 +40,12 @@ def unit_step_min_gap(l: int, steps) -> int:
     return min(min(d - 1, l - d - 1) for d in steps)
 
 
-def _require_du_admissible(l: int, steps) -> None:
-    steps = list(steps)
-    if len(set(steps)) != len(steps):
-        raise ParameterError("steps must be pairwise distinct")
-    for d in steps:
-        if not 1 <= d <= l - 1:
-            raise ParameterError(f"step {d} out of range [1, {l - 1}]")
-        if math.gcd(d, l) != 1:
-            raise ParameterError(f"step {d} is not a unit modulo {l}")
-    for i, a in enumerate(steps):
-        for b in steps[i + 1:]:
-            if math.gcd(abs(b - a), l) != 1:
-                raise ParameterError(f"step difference {abs(b - a)} is not a unit modulo {l}")
+def _require_du_steps(l: int, steps: tuple[int, ...]) -> None:
+    if l < 3:
+        raise ParameterError(f"need l >= 3, got {l}")
+    reason = du_violation(l, steps)
+    if reason is not None:
+        raise ParameterError(f"steps {steps} do not lie in a difference unit set: {reason}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,7 @@ class PairParams:
     i2: int = 0
 
     def __post_init__(self) -> None:
-        if self.l < 3:
-            raise ParameterError(f"need l >= 3, got {self.l}")
-        _require_du_admissible(self.l, (self.d1, self.d2))
+        _require_du_steps(self.l, (self.d1, self.d2))
         for name, off in (("i1", self.i1), ("i2", self.i2)):
             if not 0 <= off < self.l:
                 raise ParameterError(f"offset {name}={off} out of range [0, {self.l})")
@@ -87,9 +82,7 @@ class TripleParams:
     d3: int
 
     def __post_init__(self) -> None:
-        if self.l < 3:
-            raise ParameterError(f"need l >= 3, got {self.l}")
-        _require_du_admissible(self.l, (self.d1, self.d2, self.d3))
+        _require_du_steps(self.l, (self.d1, self.d2, self.d3))
 
     @property
     def guaranteed_gap(self) -> int:
@@ -99,9 +92,7 @@ class TripleParams:
 def construct_pair(params: PairParams) -> Fhs:
     """s^{d1,i1} || s^{d2,i2}: an optimal (2l, l, 2) sequence for any offsets."""
     l = params.l
-    first = ds_sequence(l, params.d1, params.i1, l)
-    second = ds_sequence(l, params.d2, params.i2, l)
-    return Fhs(l, first.symbols + second.symbols)
+    return Fhs(l, _ds_symbols(l, params.d1, params.i1, l) + _ds_symbols(l, params.d2, params.i2, l))
 
 
 def construct_triple(params: TripleParams, offsets=(0, 0, 0), unchecked: bool = False) -> Fhs:
@@ -121,10 +112,8 @@ def construct_triple(params: TripleParams, offsets=(0, 0, 0), unchecked: bool = 
             "nonzero offsets void the optimality guarantee; pass unchecked=True to build anyway"
         )
     l = params.l
-    symbols: tuple[int, ...] = ()
-    for d, off in zip((params.d1, params.d2, params.d3), offsets):
-        symbols += ds_sequence(l, d, off, l).symbols
-    return Fhs(l, symbols)
+    steps = (params.d1, params.d2, params.d3)
+    return Fhs(l, sum((_ds_symbols(l, d, off, l) for d, off in zip(steps, offsets)), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +132,7 @@ def _common_gcd(l: int, d1: int, d2: int, m: int | None = None) -> int:
     if g < 2:
         raise ParameterError("common gcd m must be >= 2; m = 1 is the plain pair construction")
     if m is not None and m != g:
-        raise ParameterError(f"declared m={m} but the common gcd is {g}")
+        raise ParameterError(f"(l, d1, d2) have common gcd {g}, but m = {m} is needed")
     l1 = l // g
     # implied by the shared gcd; derived coprimality is asserted, not re-validated
     assert math.gcd(l1, d1 // g) == 1 and math.gcd(l1, d2 // g) == 1
@@ -176,10 +165,8 @@ class OrderSeq:
 def pi_m(pi, m: int) -> OrderSeq:
     """Reduce a permutation of {0, ..., 2m-1} entrywise modulo m."""
     pi = tuple(pi)
-    if m < 1:
-        raise ParameterError(f"need m >= 1, got {m}")
     if sorted(pi) != list(range(2 * m)):
-        raise ParameterError("pi must be a permutation of {0, ..., 2m-1}")
+        raise ParameterError(f"pi must be a permutation of {{0, ..., {2 * m - 1}}}")
     return OrderSeq(m, tuple(v % m for v in pi))
 
 
@@ -197,12 +184,22 @@ class RecursiveParams:
         g = _common_gcd(self.l, self.d1, self.d2, self.m)
         object.__setattr__(self, "m", g)
         object.__setattr__(self, "pi", tuple(self.pi))
-        if sorted(self.pi) != list(range(2 * g)):
-            raise ParameterError(f"pi must be a permutation of {{0, ..., {2 * g - 1}}}")
+        pi_m(self.pi, g)  # raises unless pi permutes {0, ..., 2m-1}
 
     @property
     def order_seq(self) -> OrderSeq:
         return pi_m(self.pi, self.m)
+
+    @property
+    def guaranteed_gap(self) -> int | None:
+        """The gap promise d1 - 1, available only when gap_condition holds."""
+        return self.d1 - 1 if gap_condition(self.l, self.d1, self.d2, self.m) else None
+
+    @property
+    def constraints(self) -> str:
+        """The conditions behind the promises: the gcd rule, plus the gap rule when it holds."""
+        gcd_rule = "gcd(l,d1)=gcd(l,d2)=gcd(l,d2-d1)=m"
+        return gcd_rule if self.guaranteed_gap is None else gcd_rule + ", d1+d2<l-m+2"
 
 
 def recursive_rows(l: int, d1: int, d2: int, m: int | None = None):
@@ -231,8 +228,8 @@ def construct_recursive(params: RecursiveParams) -> Fhs:
     """Concatenate the 2m rows in pi order into a length-2l sequence.
 
     The output's maximum autocorrelation equals that of the mod-m reduction of
-    pi viewed as a length-2m sequence; when d1 + d2 < l - m + 2 its minimum gap
-    is d1 - 1.
+    pi viewed as a length-2m sequence; its minimum gap is
+    params.guaranteed_gap whenever that is not None.
     """
     s_rows, t_rows = recursive_rows(params.l, params.d1, params.d2, params.m)
     return _concatenate_blocks(params.l, s_rows + t_rows, params.pi)
@@ -247,20 +244,6 @@ def construct_recursive_shifted(params: RecursiveParams, k: int) -> Fhs:
     return _concatenate_blocks(params.l, shifted, params.pi)
 
 
-def _lift_one(order: OrderSeq, bits) -> tuple[int, ...]:
-    positions: dict[int, list[int]] = {j: [] for j in range(order.m)}
-    for idx, v in enumerate(order.symbols):
-        positions[v].append(idx)
-    pi = [0] * (2 * order.m)
-    for j in range(order.m):
-        a, b = positions[j]
-        if bits[j] == 0:
-            pi[a], pi[b] = j, j + order.m
-        else:
-            pi[a], pi[b] = j + order.m, j
-    return tuple(pi)
-
-
 def lift_at_index(order: OrderSeq, index: int) -> tuple[int, ...]:
     """The index-th lifting of the order sequence, 0 <= index < 2^m.
 
@@ -268,10 +251,16 @@ def lift_at_index(order: OrderSeq, index: int) -> tuple[int, ...]:
     = 0 means the earlier position of residue j receives value j (and the
     later one j + m).
     """
-    if not 0 <= index < (1 << order.m):
-        raise ParameterError(f"lift index {index} out of range [0, 2^{order.m})")
-    bits = tuple((index >> (order.m - 1 - j)) & 1 for j in range(order.m))
-    return _lift_one(order, bits)
+    m = order.m
+    if not 0 <= index < (1 << m):
+        raise ParameterError(f"lift index {index} out of range [0, 2^{m})")
+    pi = [0] * (2 * m)
+    for j in range(m):
+        a = order.symbols.index(j)
+        b = order.symbols.index(j, a + 1)
+        bit = (index >> (m - 1 - j)) & 1
+        pi[a], pi[b] = (j, j + m) if bit == 0 else (j + m, j)
+    return tuple(pi)
 
 
 def lift_order_seq(order: OrderSeq) -> list[tuple[int, ...]]:
@@ -280,4 +269,4 @@ def lift_order_seq(order: OrderSeq) -> list[tuple[int, ...]]:
     Output follows the lexicographic order of the binary choice word (see
     lift_at_index).
     """
-    return [_lift_one(order, bits) for bits in product((0, 1), repeat=order.m)]
+    return [lift_at_index(order, index) for index in range(1 << order.m)]

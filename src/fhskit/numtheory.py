@@ -17,7 +17,7 @@ from .errors import ParameterError
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime-power decomposition in ascending prime order, by trial division."""
     if n < 2:
-        raise ParameterError(f"factorize needs n >= 2, got {n}")
+        raise ParameterError(f"need n >= 2, got {n}")
     out = []
     m = n
     d = 2
@@ -35,16 +35,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
+    return factorize(n)[0][0]
 
 
 def is_prime(n: int) -> bool:
@@ -56,41 +47,40 @@ def units(l: int) -> list[int]:
     return [x for x in range(1, l) if math.gcd(x, l) == 1]
 
 
-def mod_inverse(a: int, l: int) -> int:
-    """Inverse of a modulo l; requires gcd(a, l) = 1."""
-    if l < 1:
-        raise ParameterError(f"modulus must be positive, got {l}")
-    try:
-        return pow(a, -1, l)
-    except ValueError:
-        raise ParameterError(f"{a} is not invertible modulo {l}") from None
+def du_violation(l: int, elements) -> str | None:
+    """Why the elements cannot all lie in one difference unit set of Z_l, or None.
 
-
-def is_du(l: int, candidate) -> bool:
-    """Check the difference-unit-set property for a candidate subset of Z_l^*.
-
-    True iff every element is a unit, every pairwise difference is a unit, and
-    no further unit could be added without breaking either condition.
+    Names the first element that is not a unit in [1, l - 1], else the first
+    pair whose difference is not a unit; a repeated element differs from
+    itself by the non-unit 0.
     """
-    if l < 2:
-        raise ParameterError(f"need modulus l >= 2, got {l}")
-    elems = sorted(set(candidate))
+    elems = list(elements)
     for x in elems:
         if not 1 <= x <= l - 1:
-            raise ParameterError(f"element {x} out of range [1, {l - 1}]")
-    if any(math.gcd(x, l) != 1 for x in elems):
-        return False
+            return f"{x} is out of range [1, {l - 1}]"
+        if math.gcd(x, l) != 1:
+            return f"{x} is not a unit modulo {l}"
     for i, a in enumerate(elems):
         for b in elems[i + 1:]:
             if math.gcd(b - a, l) != 1:
-                return False
-    chosen = set(elems)
-    for x in units(l):
-        if x in chosen:
-            continue
-        if all(math.gcd(abs(x - a), l) == 1 for a in elems):
-            return False  # x could still be added: not maximal
-    return True
+                return f"{a}, {b} differ by {abs(b - a)}, which is not a unit modulo {l}"
+    return None
+
+
+def is_du(l: int, candidate) -> bool:
+    """True iff the candidate passes du_violation and no further unit could join it.
+
+    Members are distinct and nonzero modulo each prime p | l, so at most p1 - 1
+    fit (p1 the least such p); by the CRT any smaller set extends, so maximal
+    means exactly p1 - 1 elements.
+    """
+    if l < 2:
+        raise ParameterError(f"need modulus l >= 2, got {l}")
+    elems = tuple(candidate)
+    for x in elems:
+        if not 1 <= x <= l - 1:
+            raise ParameterError(f"element {x} out of range [1, {l - 1}]")
+    return du_violation(l, elems) is None and len(elems) == smallest_prime_factor(l) - 1
 
 
 @dataclass(frozen=True)
@@ -103,8 +93,6 @@ class DuSet:
     def __post_init__(self) -> None:
         elements = tuple(sorted(self.elements))
         object.__setattr__(self, "elements", elements)
-        if len(set(elements)) != len(elements):
-            raise ParameterError("difference unit set may not contain duplicates")
         if not is_du(self.modulus, elements):
             raise ParameterError(f"{list(elements)} is not a difference unit set of Z_{self.modulus}")
 
@@ -167,27 +155,12 @@ def _poly_mod(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
     return a
 
 
-def _poly_eval(coeffs, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility over Z_p: no roots, then no small monic factors."""
+    """Brute-force irreducibility over Z_p: no monic factor of degree 1 to degree // 2."""
     degree = len(mod) - 1
-    if degree == 1:
-        return True
-    for r in range(p):
-        if _poly_eval(mod, r, p) == 0:
-            return False
-    if degree <= 3:
-        return True
-    for k in range(2, degree // 2 + 1):
+    for k in range(1, degree // 2 + 1):
         for tail in product(range(p), repeat=k):
-            divisor = tuple(tail) + (1,)
-            if not _poly_trim(_poly_mod(list(mod), divisor, p)):
+            if not _poly_mod(list(mod), tail + (1,), p):
                 return False
     return True
 
@@ -244,9 +217,6 @@ class GfContext:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple(-x % self.p for x in a)
-
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
@@ -260,7 +230,7 @@ class GfContext:
 
     def pow(self, a, k: int):
         if k < 0:
-            raise ParameterError("negative exponents are not supported; use inv")
+            raise ParameterError("negative exponents are not supported")
         acc = self.one
         base = a
         while k:
@@ -269,11 +239,6 @@ class GfContext:
             base = self.mul(base, base)
             k >>= 1
         return acc
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ParameterError("zero is not invertible")
-        return self.exp((self.q - 1 - self.log(a)) % (self.q - 1))
 
     def exp(self, k: int):
         """omega**k."""

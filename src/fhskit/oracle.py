@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, SearchSpaceError
-from .numtheory import smallest_prime_factor, units
+from .numtheory import DuSet, smallest_prime_factor, units
 from .sequence import CorrelationProfile, Fhs, max_auto
 
 ENUMERATION_GUARD = 10_000_000
@@ -222,8 +222,6 @@ def enumerate_du_sets(l: int) -> list:
     distinct modulo p1), so a complete search for cliques of that size finds
     every DU set.
     """
-    from .numtheory import DuSet
-
     if l < 3:
         raise ParameterError(f"need l >= 3, got {l}")
     if l > 60:

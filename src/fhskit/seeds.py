@@ -9,19 +9,19 @@ pipeline_seed_to_wgfhs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .construct import OrderSeq, RecursiveParams, construct_recursive, lift_at_index
 from .errors import ConsistencyError, ParameterError, SearchSpaceError
 from .numtheory import (
     GfContext,
+    du_violation,
     is_prime,
     multiplicative_order,
     smallest_prime_factor,
     smallest_primitive_root,
 )
-from .sequence import Fhs, is_uniform, max_auto
+from .sequence import Fhs, max_auto
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,11 @@ class B1Params:
         if sorted(phi) != list(range(self.N)):
             raise ParameterError("phi must be a permutation of Z_N")
         eps = tuple(self.epsilon) if self.epsilon is not None else tuple(range(1, self.k + 1))
-        if len(eps) != self.k or len(set(eps)) != self.k:
-            raise ParameterError("epsilon must be injective on Z_k")
-        for d in eps:
-            if not 1 <= d < self.N or math.gcd(d, self.N) != 1:
-                raise ParameterError(f"epsilon value {d} is not a unit of Z_{self.N}")
-        for i, a in enumerate(eps):
-            for b in eps[i + 1:]:
-                if math.gcd(abs(b - a), self.N) != 1:
-                    raise ParameterError(
-                        f"epsilon values {a}, {b} differ by a non-unit: not inside a difference unit set"
-                    )
+        if len(eps) != self.k:
+            raise ParameterError(f"epsilon must have length k = {self.k}")
+        reason = du_violation(self.N, eps)
+        if reason is not None:
+            raise ParameterError(f"epsilon {eps} does not lie in a difference unit set: {reason}")
         gam = tuple(v % self.N for v in self.gamma) if self.gamma is not None else (0,) * self.k
         if len(gam) != self.k:
             raise ParameterError(f"gamma must have length k = {self.k}")
@@ -83,31 +77,25 @@ def b1_construct(params: B1Params) -> Fhs:
 
 @dataclass(frozen=True)
 class CyclotomyParams:
-    """Cyclotomic construction setup over GF(q), q = ef + 1.
-
-    special_log is the value assigned to the field element 1 by the indexing
-    map (every other nonzero x maps to log(x - 1)); it defaults to (q - 1) / 2
-    for odd q and 0 for even q, which fills the one hole left by the logs.
-    """
+    """Cyclotomic construction setup over GF(q), q = ef + 1."""
 
     field: GfContext
     e: int
-    special_log: int | None = None
 
     def __post_init__(self) -> None:
         q = self.field.q
         if self.e < 1 or (q - 1) % self.e != 0:
             raise ParameterError(f"e must divide q - 1 = {q - 1}, got {self.e}")
-        lam = self.special_log
-        if lam is None:
-            lam = (q - 1) // 2 if q % 2 == 1 else 0
-        if not 0 <= lam <= q - 2:
-            raise ParameterError(f"special_log {lam} out of range [0, {q - 2}]")
-        object.__setattr__(self, "special_log", lam)
 
     @property
     def f(self) -> int:
         return (self.field.q - 1) // self.e
+
+    @property
+    def special_log(self) -> int:
+        """log(-1), the index of the element 1: x -> log(x - 1) on x not in {0, 1} misses only it."""
+        q = self.field.q
+        return (q - 1) // 2 if q % 2 == 1 else 0  # -1 = 1 when q is even
 
 
 def cyclotomic_construct(params: CyclotomyParams) -> Fhs:
@@ -218,24 +206,26 @@ def qr_construct(params: QrParams) -> Fhs:
     return Fhs(p, tuple(params.x[t % k] * pow(t % p, 2, p) % p for t in range(k * p)))
 
 
+def lift_seed(seed: Fhs, l: int, d1: int, d2: int, lift_index: int = 0) -> RecursiveParams:
+    """The recursive-construction inputs that lift an optimal uniform (2m, m, 2) seed.
+
+    The seed acts as the concatenation order; lift_index in [0, 2^m) selects
+    which of its liftings supplies the permutation pi.
+    """
+    m = seed.alphabet_size
+    try:
+        order = OrderSeq(m, seed.symbols)  # length 2m, every residue twice: the seed is uniform
+    except ParameterError as exc:
+        raise ParameterError(f"seed is not a valid order sequence: {exc}") from None
+    if max_auto(seed) != 2:
+        raise ParameterError("seed must be an optimal uniform (2m, m, 2) sequence")
+    return RecursiveParams(l=l, d1=d1, d2=d2, pi=lift_at_index(order, lift_index), m=m)
+
+
 def pipeline_seed_to_wgfhs(seed: Fhs, l: int, d1: int, d2: int, lift_index: int = 0) -> Fhs:
     """Lift an optimal uniform (2m, m, 2) seed into a (2l, l, 2) sequence.
 
-    The seed acts as the concatenation order; lift_index in [0, 2^m) selects
-    which of the liftings supplies the permutation.  The result inherits the
-    seed's maximum autocorrelation regardless of lift_index.
+    The result inherits the seed's maximum autocorrelation regardless of
+    lift_index (see lift_seed).
     """
-    m = seed.alphabet_size
-    if seed.n != 2 * m:
-        raise ParameterError(f"seed must have length 2m = {2 * m}, got {seed.n}")
-    try:
-        order = OrderSeq(m, seed.symbols)
-    except ParameterError as exc:
-        raise ParameterError(f"seed is not a valid order sequence: {exc}") from None
-    if not is_uniform(seed) or max_auto(seed) != 2:
-        raise ParameterError("seed must be an optimal uniform (2m, m, 2) sequence")
-    pi = lift_at_index(order, lift_index)
-    params = RecursiveParams(l=l, d1=d1, d2=d2, pi=pi)
-    if params.m != m:
-        raise ParameterError(f"(l, d1, d2) have common gcd {params.m}, but the seed needs m = {m}")
-    return construct_recursive(params)
+    return construct_recursive(lift_seed(seed, l, d1, d2, lift_index))

@@ -97,30 +97,16 @@ class CorrelationProfile:
         return len(self.values)
 
 
-def _check_same_shape(s: Fhs, t: Fhs) -> None:
-    if s.alphabet_size != t.alphabet_size:
-        raise ParameterError(f"alphabet mismatch: {s.alphabet_size} vs {t.alphabet_size}")
-    if s.n != t.n:
-        raise ParameterError(f"length mismatch: {s.n} vs {t.n}")
-
-
-def hamming_cross(s: Fhs, t: Fhs, tau: int) -> int:
-    """Periodic Hamming cross-correlation of s and t at shift tau."""
-    _check_same_shape(s, t)
-    n = s.n
-    if not 0 <= tau < n:
-        raise ParameterError(f"shift {tau} out of range [0, {n})")
-    a, b = s.symbols, t.symbols
-    return sum(1 for i in range(n) if a[i] == b[(i + tau) % n])
-
-
 def cross_profile(s: Fhs, t: Fhs) -> CorrelationProfile:
     """All-shift cross-correlation, computed by binning matching position pairs.
 
     Costs O(n + #matches) rather than O(n^2), which matters for the large
     randomized verification sweeps.
     """
-    _check_same_shape(s, t)
+    if s.alphabet_size != t.alphabet_size:
+        raise ParameterError(f"alphabet mismatch: {s.alphabet_size} vs {t.alphabet_size}")
+    if s.n != t.n:
+        raise ParameterError(f"length mismatch: {s.n} vs {t.n}")
     n = s.n
     positions = defaultdict(list)
     for j, v in enumerate(t.symbols):
@@ -143,11 +129,6 @@ def max_auto(s: Fhs) -> int:
     if s.n < 2:
         raise ParameterError("autocorrelation maximum is undefined for length-1 sequences")
     return max(auto_profile(s).values[1:])
-
-
-def max_cross(s: Fhs, t: Fhs) -> int:
-    """Maximum cross-correlation over all shifts 0 <= tau < n."""
-    return max(cross_profile(s, t).values)
 
 
 def min_gap(s: Fhs) -> int:
@@ -183,6 +164,12 @@ def is_uniform(s: Fhs) -> bool:
     return spread == (0 if s.n % s.alphabet_size == 0 else 1)
 
 
+def _lg_formula(n: int, l: int, shortfall: int) -> int:
+    """ceil((n - eps)(n + eps - l) / (l (n - shortfall))) with eps = n mod l."""
+    eps = n % l
+    return -(-(n - eps) * (n + eps - l) // (l * (n - shortfall)))
+
+
 def lg_bound(n: int, l: int) -> int:
     """Lempel-Greenberger lower bound on the maximum nontrivial autocorrelation.
 
@@ -194,10 +181,7 @@ def lg_bound(n: int, l: int) -> int:
         raise ParameterError("need n >= 1 and l >= 1")
     if n == 1:
         return 0
-    eps = n % l
-    num = (n - eps) * (n + eps - l)
-    den = l * (n - 1)
-    return -(-num // den)
+    return _lg_formula(n, l, 1)
 
 
 def wg_lg_bound(n: int, l: int) -> int:
@@ -206,15 +190,7 @@ def wg_lg_bound(n: int, l: int) -> int:
         raise ParameterError("need l >= 1")
     if n <= 3:
         raise ParameterError("wide-gap bound needs n >= 4")
-    eps = n % l
-    num = (n - eps) * (n + eps - l)
-    den = l * (n - 3)
-    return -(-num // den)
-
-
-def is_lg_optimal(s: Fhs) -> bool:
-    """True iff the sequence meets the Lempel-Greenberger bound exactly."""
-    return max_auto(s) == lg_bound(s.n, s.alphabet_size)
+    return _lg_formula(n, l, 3)
 
 
 def sorted_alphabet_gap_bound(s: Fhs, frequencies) -> int | float:

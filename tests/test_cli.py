@@ -49,6 +49,18 @@ class TestConstructCommands:
         assert out["constraints"] == "gcd(l,d1)=gcd(l,d2)=gcd(l,d2-d1)=m"
         assert out["verification"]["min_gap"] == 4
 
+    def test_refusals_name_the_offender(self, capsys):
+        for argv, named in (
+            (("construct", "pair", "--l", "25", "--d1", "5", "--d2", "9"), "5 is not a unit"),
+            (("construct", "pair", "--l", "25", "--d1", "7", "--d2", "7"), "7, 7 differ by 0"),
+            (("seed", "b1", "--N", "25", "--epsilon", "1,6"), "1, 6 differ by 5"),
+            (("construct", "recursive", "--l", "21", "--d1", "6", "--d2", "9", "--pi", "0,1,2,3,4,4"),
+             "{0, ..., 5}"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
     def test_claims_match_verification(self, capsys):
         out = run_json(capsys, "construct", "pair", "--l", "25", "--d1", "7", "--d2", "9")
         for key, claimed in out["claims"].items():
@@ -102,6 +114,13 @@ class TestVerifyAndProfile:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "malformed" in err
+
+    def test_verify_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
 
     def test_auto_profile_csv(self, capsys, tmp_path):
         path = tmp_path / "v.json"
@@ -183,6 +202,14 @@ class TestOtherCommands:
         text = target.read_text()
         assert "\n" not in text.strip()
         assert tuple(json.loads(text)["fhs"]["seq"]) == PAIR_50
+
+    def test_out_to_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "construct", "pair", "--l", "25", "--d1", "7", "--d2", "9",
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+        assert not target.parent.exists()
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "construct", "pair", "--l", "25", "--d1", "7", "--d2", "9")

@@ -1,10 +1,21 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from fhskit import DuSet, GfContext, ParameterError, canonical_du, factorize, is_du, mod_inverse
-from fhskit.numtheory import smallest_prime_factor, units
+from fhskit import (
+    B1Params,
+    DuSet,
+    GfContext,
+    PairParams,
+    ParameterError,
+    TripleParams,
+    canonical_du,
+    du_violation,
+    factorize,
+    is_du,
+)
+from fhskit.numtheory import _is_irreducible, smallest_prime_factor, units
 
 
 class TestFactorize:
@@ -22,21 +33,6 @@ class TestFactorize:
     def test_rejects_small(self):
         with pytest.raises(ParameterError):
             factorize(1)
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(1, 9) == 1
-        assert mod_inverse(7, 25) == 18
-
-    def test_not_coprime(self):
-        with pytest.raises(ParameterError):
-            mod_inverse(2, 4)
-
-    def test_property(self):
-        for l in range(2, 40):
-            for a in units(l):
-                assert a * mod_inverse(a, l) % l == 1
 
 
 class TestDuSets:
@@ -59,9 +55,46 @@ class TestDuSets:
         for l in range(3, 80):
             assert is_du(l, canonical_du(l).elements)
 
+    def test_violation_names_the_offender(self):
+        assert du_violation(25, (7, 9)) is None
+        assert du_violation(25, (5, 9)) == "5 is not a unit modulo 25"
+        assert du_violation(25, (1, 6)) == "1, 6 differ by 5, which is not a unit modulo 25"
+        assert du_violation(25, (7, 7)) == "7, 7 differ by 0, which is not a unit modulo 25"
+        assert du_violation(25, (26,)) == "26 is out of range [1, 24]"
+
+    @pytest.mark.parametrize("l", range(3, 31))
+    def test_every_check_agrees_with_du_violation(self, l):
+        # every subset of Z_l of size <= 3: the step and epsilon checks accept
+        # exactly what du_violation accepts, and is_du adds maximality, here
+        # tested by trying every unit that could still join
+        def accepts(build, *args, **kwargs):
+            try:
+                build(*args, **kwargs)
+            except ParameterError:
+                return False
+            return True
+
+        steps_params = {1: None, 2: PairParams, 3: TripleParams}
+        for size, params in steps_params.items():
+            for subset in combinations(range(l), size):
+                admissible = du_violation(l, subset) is None
+                assert accepts(B1Params, N=l, k=size, epsilon=subset) == admissible, (l, subset)
+                if params is not None:
+                    assert accepts(params, l, *subset) == admissible, (l, subset)
+                if 0 in subset:
+                    with pytest.raises(ParameterError):
+                        is_du(l, subset)
+                    continue
+                maximal = admissible and all(
+                    du_violation(l, subset + (x,)) is not None for x in units(l) if x not in subset
+                )
+                assert is_du(l, subset) == maximal, (l, subset)
+
     def test_duset_constructor_rejects_invalid(self):
         with pytest.raises(ParameterError):
             DuSet(25, (1, 2, 3))
+        with pytest.raises(ParameterError):
+            DuSet(25, (1, 1, 2, 3, 4))  # a repeat differs from itself by the non-unit 0
 
     def test_small_moduli_no_larger_admissible_subset(self):
         # full subset scan: nothing bigger than p1 - 1 has pairwise unit differences
@@ -133,7 +166,26 @@ class TestGfContext:
                     assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
                     assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
             if a != ctx.zero:
-                assert ctx.mul(a, ctx.inv(a)) == ctx.one
+                assert ctx.mul(a, ctx.exp(-ctx.log(a))) == ctx.one
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_irreducible_matches_brute_force_products(self, p):
+        def monic(degree):
+            return [tail + (1,) for tail in product(range(p), repeat=degree)]
+
+        def times(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+            return tuple(out)
+
+        reducible = {
+            times(a, b) for da in range(1, 4) for db in range(da, 5 - da) for a in monic(da) for b in monic(db)
+        }
+        for degree in range(1, 5):
+            for mod in monic(degree):
+                assert _is_irreducible(mod, p) == (mod not in reducible), mod
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ParameterError):

@@ -2,7 +2,6 @@ import pytest
 
 from fhskit import (
     B1Params,
-    ConsistencyError,
     CyclotomyParams,
     Fhs,
     GfContext,
@@ -98,12 +97,6 @@ class TestCyclotomic:
     def test_class_count_must_divide(self):
         with pytest.raises(ParameterError):
             CyclotomyParams(GfContext(5, (2, 4, 1)), 7)
-
-    def test_broken_special_log_is_caught(self):
-        # colliding index assignment trips the internal partition check
-        ctx = GfContext(5, (2, 4, 1))
-        with pytest.raises(ConsistencyError):
-            cyclotomic_construct(CyclotomyParams(ctx, 12, special_log=3))
 
 
 class TestQr:

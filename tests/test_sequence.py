@@ -10,14 +10,12 @@ from fhskit import (
     cross_profile,
     ds_sequence,
     frequency_counts,
-    hamming_cross,
-    is_lg_optimal,
     is_uniform,
     lg_bound,
     max_auto,
-    max_cross,
     min_gap,
     sorted_alphabet_gap_bound,
+    verify_sequence,
     wg_lg_bound,
 )
 from fhskit.construct import PairParams
@@ -62,31 +60,30 @@ class TestFhs:
 
 
 class TestHammingCross:
+    # H_{s,t}(tau) is cross_profile(s, t).values[tau]
     def test_zero_shift_is_length(self):
         s = Fhs(25, PAIR_50)
-        assert hamming_cross(s, s, 0) == s.n
+        assert cross_profile(s, s).values[0] == s.n
 
     def test_unit_step_rows_always_meet_once(self):
         s7 = ds_sequence(25, 7)
         s9 = ds_sequence(25, 9)
-        for tau in range(25):
-            assert hamming_cross(s7, s9, tau) == 1
+        assert cross_profile(s7, s9).values == (1,) * 25
 
     def test_fixed_pair_matches_naive_count(self):
         s = Fhs(3, (0, 1, 2, 0, 1, 2))
         t = Fhs(3, (0, 0, 1, 2, 2, 1))
-        assert tuple(hamming_cross(s, t, tau) for tau in range(6)) == (1, 4, 1, 1, 4, 1)
+        values = cross_profile(s, t).values
+        assert values == (1, 4, 1, 1, 4, 1)
         for tau in range(6):
-            assert hamming_cross(s, t, tau) == _naive_hamming(s, t, tau)
+            assert values[tau] == _naive_hamming(s, t, tau)
 
     def test_errors(self):
         s = Fhs(3, (0, 1, 2))
-        with pytest.raises(ParameterError):
-            hamming_cross(s, Fhs(4, (0, 1, 2)), 0)
-        with pytest.raises(ParameterError):
-            hamming_cross(s, Fhs(3, (0, 1)), 0)
-        with pytest.raises(ParameterError):
-            hamming_cross(s, s, 3)
+        with pytest.raises(ParameterError, match="alphabet"):
+            cross_profile(s, Fhs(4, (0, 1, 2)))
+        with pytest.raises(ParameterError, match="length"):
+            cross_profile(s, Fhs(3, (0, 1)))
 
     def test_equals_length_minus_hamming_distance(self):
         rng = random.Random(11)
@@ -95,9 +92,9 @@ class TestHammingCross:
             l = rng.randrange(2, 8)
             s = Fhs(l, tuple(rng.randrange(l) for _ in range(n)))
             t = Fhs(l, tuple(rng.randrange(l) for _ in range(n)))
+            values = cross_profile(s, t).values
             for tau in range(n):
-                shifted = t.shifted(tau)
-                assert hamming_cross(s, t, tau) == n - _hamming_distance(s.symbols, shifted.symbols)
+                assert values[tau] == n - _hamming_distance(s.symbols, t.shifted(tau).symbols)
 
 
 class TestMaxAuto:
@@ -137,7 +134,6 @@ class TestProfiles:
             t = Fhs(l, tuple(rng.randrange(l) for _ in range(n)))
             r = rng.randrange(n)
             assert cross_profile(s, t).values == cross_profile(s.shifted(r), t.shifted(r)).values
-            assert max_cross(s, t) == max_cross(s.shifted(r), t.shifted(r))
 
     def test_relabel_invariance(self):
         rng = random.Random(7)
@@ -235,14 +231,15 @@ class TestWgLgBound:
 
 
 class TestOptimality:
+    # optimal: the maximum autocorrelation meets the Lempel-Greenberger bound
     def test_example_pair_sequence(self):
-        assert is_lg_optimal(Fhs(25, PAIR_50))
+        assert verify_sequence(Fhs(25, PAIR_50)).is_optimal is True
 
     def test_constant_not_optimal(self):
-        assert not is_lg_optimal(Fhs(2, (0, 0, 0, 0)))
+        assert verify_sequence(Fhs(2, (0, 0, 0, 0))).is_optimal is False
 
     def test_pipeline_output(self):
-        assert is_lg_optimal(Fhs(25, PIPELINE_U50))
+        assert verify_sequence(Fhs(25, PIPELINE_U50)).is_optimal is True
 
 
 class TestSortedAlphabetGapBound:
