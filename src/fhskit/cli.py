@@ -14,7 +14,7 @@ import sys
 from . import construct, gapbound, oracle, seeds
 from .errors import ParameterError, SearchSpaceError, UnsupportedCaseError
 from .report import render_table2, table_row_for, verify_sequence
-from .sequence import Fhs, auto_profile, cross_profile, max_auto
+from .sequence import Fhs, auto_profile, cross_profile
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -37,6 +37,8 @@ def _read_json(path: str):
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParameterError(f"JSON in {path} holds an integer too long to read") from None
     except RecursionError:
         raise ParameterError(f"JSON in {path} is nested too deeply") from None
 
@@ -83,12 +85,12 @@ def _cmd_construct(args):
             raise ParameterError("pair construction takes exactly two offsets")
         params = construct.PairParams(args.l, args.d1, args.d2, offsets[0], offsets[1])
         fhs = construct.construct_pair(params)
-        claims = {"max_auto": 2, "min_gap": params.guaranteed_gap}
+        claims = {"max_auto": params.guaranteed_max_auto, "min_gap": params.guaranteed_gap}
         return _construction_output(
             fhs,
             {"kind": "pair", "l": args.l, "d1": args.d1, "d2": args.d2, "offsets": list(offsets)},
             claims,
-            "d1,d2 in DU(Z_l)",
+            params.constraints,
         )
     if args.family == "triple":
         if args.d3 is None:
@@ -98,7 +100,7 @@ def _cmd_construct(args):
         fhs = construct.construct_triple(params, offsets, unchecked=args.unchecked)
         guaranteed = offsets == (0, 0, 0)
         claims = {
-            "max_auto": 3 if guaranteed else None,
+            "max_auto": params.guaranteed_max_auto if guaranteed else None,
             "min_gap": params.guaranteed_gap if guaranteed else None,
         }
         return _construction_output(
@@ -112,7 +114,7 @@ def _cmd_construct(args):
                 "offsets": list(offsets),
             },
             claims,
-            "d1,d2,d3 in DU(Z_l)",
+            params.constraints,
         )
     # recursive
     if args.pi is None:
@@ -124,7 +126,7 @@ def _cmd_construct(args):
     else:
         fhs = construct.construct_recursive(params)
     claims = {
-        "max_auto": max_auto(params.order_seq.as_fhs()),
+        "max_auto": params.guaranteed_max_auto,
         "min_gap": None if args.shift_k else params.guaranteed_gap,
     }
     return _construction_output(
@@ -192,7 +194,7 @@ def _cmd_pipeline(args):
             "m": params.m,
             "lift_index": args.lift_index,
         },
-        {"max_auto": 2, "min_gap": params.guaranteed_gap},
+        {"max_auto": params.guaranteed_max_auto, "min_gap": params.guaranteed_gap},
         params.constraints,
     )
     out["seed_fhs"] = seed.to_json_dict()

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ParameterError
 from .numtheory import du_violation
-from .sequence import Fhs
+from .sequence import Fhs, max_auto
 
 
 def _ds_symbols(l: int, d: int, offset: int, length: int) -> tuple[int, ...]:
@@ -58,6 +59,11 @@ class PairParams:
     i1: int = 0
     i2: int = 0
 
+    # The maximum nontrivial autocorrelation of the built sequence, for any offsets.
+    guaranteed_max_auto: ClassVar[int] = 2
+    # The condition behind the promises.
+    constraints: ClassVar[str] = "d1,d2 in DU(Z_l)"
+
     def __post_init__(self) -> None:
         _require_du_steps(self.l, (self.d1, self.d2))
         for name, off in (("i1", self.i1), ("i2", self.i2)):
@@ -80,6 +86,11 @@ class TripleParams:
     d1: int
     d2: int
     d3: int
+
+    # The maximum nontrivial autocorrelation of the zero-offset sequence.
+    guaranteed_max_auto: ClassVar[int] = 3
+    # The condition behind the promises.
+    constraints: ClassVar[str] = "d1,d2,d3 in DU(Z_l)"
 
     def __post_init__(self) -> None:
         _require_du_steps(self.l, (self.d1, self.d2, self.d3))
@@ -189,6 +200,11 @@ class RecursiveParams:
     @property
     def order_seq(self) -> OrderSeq:
         return pi_m(self.pi, self.m)
+
+    @property
+    def guaranteed_max_auto(self) -> int:
+        """The built sequence's maximum nontrivial autocorrelation: that of pi mod m."""
+        return max_auto(self.order_seq.as_fhs())
 
     @property
     def guaranteed_gap(self) -> int | None:

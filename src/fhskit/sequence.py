@@ -7,10 +7,24 @@ immutable values.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import operator
+import reprlib
+import sys
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ParameterError
+
+
+def _brief(value) -> str:
+    """A repr of outside input short enough for a one-line error message."""
+    try:
+        text = reprlib.repr(value)
+    except ValueError:  # an int past the interpreter's digit limit for str()
+        return f"<{type(value).__name__} too long to show>"
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 @dataclass(frozen=True)
@@ -22,16 +36,18 @@ class Fhs:
 
     def __post_init__(self) -> None:
         if not isinstance(self.alphabet_size, int) or self.alphabet_size < 1:
-            raise ParameterError(f"alphabet size must be a positive integer, got {self.alphabet_size!r}")
+            raise ParameterError(f"alphabet size must be a positive integer, got {_brief(self.alphabet_size)}")
         symbols = tuple(self.symbols)
         object.__setattr__(self, "symbols", symbols)
         if len(symbols) < 1:
             raise ParameterError("sequence must contain at least one symbol")
         for i, v in enumerate(symbols):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ParameterError(f"symbol at index {i} is not an integer: {v!r}")
+                raise ParameterError(f"symbol at index {i} is not an integer: {_brief(v)}")
             if not 0 <= v < self.alphabet_size:
-                raise ParameterError(f"symbol {v} at index {i} out of range [0, {self.alphabet_size})")
+                raise ParameterError(
+                    f"symbol {_brief(v)} at index {i} out of range [0, {_brief(self.alphabet_size)})"
+                )
 
     @property
     def n(self) -> int:
@@ -62,7 +78,7 @@ class Fhs:
         l = obj["l"]
         seq = obj["seq"]
         if not isinstance(l, int) or isinstance(l, bool):
-            raise ParameterError(f"field 'l' must be an integer, got {l!r}")
+            raise ParameterError(f"field 'l' must be an integer, got {_brief(l)}")
         if not isinstance(seq, list):
             raise ParameterError("field 'seq' must be an array of integers")
         return cls(l, tuple(seq))
@@ -83,40 +99,103 @@ class CorrelationProfile:
         n = len(values)
         if n < 1:
             raise ParameterError("profile must cover at least one shift")
-        if any(not 0 <= v <= n for v in values):
+        if min(values) < 0 or max(values) > n:
             raise ParameterError("profile values must lie in [0, n]")
         if self.kind == "auto":
             if values[0] != n:
                 raise ParameterError("auto profile must have H(0) = n")
-            for tau in range(1, n):
-                if values[tau] != values[n - tau]:
-                    raise ParameterError("auto profile must satisfy H(tau) = H(n - tau)")
+            if values[1:] != values[:0:-1]:
+                raise ParameterError("auto profile must satisfy H(tau) = H(n - tau)")
 
     @property
     def length(self) -> int:
         return len(self.values)
 
 
-def cross_profile(s: Fhs, t: Fhs) -> CorrelationProfile:
-    """All-shift cross-correlation, computed by binning matching position pairs.
+def _positions(symbols) -> dict[int, list[int]]:
+    positions = defaultdict(list)
+    for i, v in enumerate(symbols):
+        positions[v].append(i)
+    return positions
 
-    Costs O(n + #matches) rather than O(n^2), which matters for the large
-    randomized verification sweeps.
+
+def _product_cost(n: int, width: int) -> float:
+    """Estimated cost of one dense symbol's product, in binned pairs.
+
+    Measured on CPython 3.11 (x86-64 Xeon) from n = 4 to 10^5: about 1.5
+    pairs per position to pack and convert, plus the Karatsuba multiply of two
+    integers of width * n bytes each, which grows as (width * n)^log2(3).  The
+    crossover c_s(v) * c_t(v) / n rises from about 1.5 at n <= 500 to about 9
+    at n = 10^4, so no constant multiple of n would fit it.
+    """
+    return 1.5 * n + (width * n) ** 1.585 / 85
+
+
+def cross_profile(s: Fhs, t: Fhs) -> CorrelationProfile:
+    """All-shift cross-correlation H(tau) = #{i : s_i = t_(i+tau mod n)}.
+
+    Each symbol v contributes its c_s(v) * c_t(v) matching position pairs and
+    is counted by whichever of two exact methods is estimated to be cheaper.
+    A sparse symbol bins its pairs one by one, so it costs its pair count; in
+    an auto profile each unordered pair is visited once, for tau and n - tau.
+    A dense symbol costs one product of two integers of about 16 n bits each
+    (32 n from n = 2^16), whose fields are its position indicators in s,
+    reversed, and in t: field k of the product counts the pairs with
+    j - i = k - (n - 1).  The products of all dense symbols are summed and
+    unpacked once.
     """
     if s.alphabet_size != t.alphabet_size:
         raise ParameterError(f"alphabet mismatch: {s.alphabet_size} vs {t.alphabet_size}")
     if s.n != t.n:
         raise ParameterError(f"length mismatch: {s.n} vs {t.n}")
     n = s.n
-    positions = defaultdict(list)
-    for j, v in enumerate(t.symbols):
-        positions[v].append(j)
+    auto = s.symbols == t.symbols
+    # A field holds one coefficient of the summed products, at most n.
+    width = 2 if n < 1 << 16 else 4
+    cost = _product_cost(n, width)
+    in_t = _positions(t.symbols)
     values = [0] * n
-    for i, v in enumerate(s.symbols):
-        for j in positions.get(v, ()):
-            values[(j - i) % n] += 1
-    kind = "auto" if s.symbols == t.symbols else "cross"
-    return CorrelationProfile(kind, tuple(values))
+    product = 0
+    # Unless the most frequent symbol of t could be dense (c_s(v) <= n), all
+    # symbols are sparse; a cross profile needs positions in s only for dense
+    # symbols.
+    longest = max(map(len, in_t.values()))
+    if longest * (longest if auto else n) > cost:
+        s_counts = Counter(s.symbols)
+        dense = [v for v, t_pos in in_t.items() if s_counts[v] * len(t_pos) > cost]
+        in_s = in_t if auto or not dense else _positions(s.symbols)
+        for v in dense:
+            s_pos, t_pos = in_s[v], in_t.pop(v)
+            s_bits = bytearray(width * n)
+            for i in s_pos:
+                s_bits[width * i] = 1
+            t_bits = s_bits
+            if not auto:
+                t_bits = bytearray(width * n)
+                for j in t_pos:
+                    t_bits[width * j] = 1
+            # Read big-endian, field i of s_bits lands at field n - 1 - i,
+            # shifted up by width - 1 bytes.
+            product += int.from_bytes(s_bits, "big") * int.from_bytes(t_bits, "little")
+    # The sparse symbols are those left in in_t.
+    if auto:
+        for pos in in_t.values():
+            values[0] += len(pos)
+            for i, j in combinations(pos, 2):
+                values[j - i] += 1
+                values[i - j] += 1  # 0 < j - i < n: the negative index is n - (j - i)
+    else:
+        for i, v in enumerate(s.symbols):
+            for j in in_t.get(v, ()):
+                values[(j - i) % n] += 1
+    if product:
+        fields = (product >> 8 * (width - 1)).to_bytes(width * (2 * n - 1), "little")
+        lags = array("H" if width == 2 else "I", fields)
+        if sys.byteorder == "big":
+            lags.byteswap()
+        values[0] += lags[n - 1]
+        values[1:] = map(operator.add, values[1:], map(operator.add, lags[n:], lags[: n - 1]))
+    return CorrelationProfile("auto" if auto else "cross", tuple(values))
 
 
 def auto_profile(s: Fhs) -> CorrelationProfile:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fhskit
 from fhskit.cli import main
 
 from vectors import B1_SEED_18, PAIR_50, PIPELINE_U50, QR_SEED_10, RECURSIVE_42
@@ -67,6 +72,13 @@ class TestConstructCommands:
             if claimed is not None:
                 assert out["verification"][key] == claimed
 
+    def test_unit_step_constraints(self, capsys):
+        out = run_json(capsys, "construct", "pair", "--l", "25", "--d1", "7", "--d2", "9")
+        assert out["constraints"] == "d1,d2 in DU(Z_l)"
+        out = run_json(capsys, "construct", "triple", "--l", "25", "--d1", "6", "--d2", "7", "--d3", "9")
+        assert out["claims"] == {"max_auto": 3, "min_gap": 5}
+        assert out["constraints"] == "d1,d2,d3 in DU(Z_l)"
+
 
 class TestSeedAndPipeline:
     def test_seed_b1(self, capsys):
@@ -121,6 +133,19 @@ class TestVerifyAndProfile:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
+
+    def test_verify_bad_input_gets_one_short_line(self, capsys, tmp_path):
+        for name, text in (
+            ("deep", '{"l": 3, "seq": [' + "[" * 900 + "0" + "]" * 900 + "]}"),
+            ("long_l", '{"l": "' + "x" * 5000 + '", "seq": [0]}'),
+            ("long_symbol", '{"l": 3, "seq": [0, "' + "y" * 5000 + '"]}'),
+            ("huge_int", '{"l": 3, "seq": [1' + "0" * 5000 + "]}"),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            code, out, err = run(capsys, "verify", str(path))
+            assert (code, out) == (2, ""), name
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, (name, err)
 
     def test_auto_profile_csv(self, capsys, tmp_path):
         path = tmp_path / "v.json"
@@ -225,3 +250,17 @@ class TestOtherCommands:
         for key, claimed in built["claims"].items():
             if claimed is not None:
                 assert report[key] == claimed
+
+
+class TestImportFootprint:
+    def test_no_array_library_is_imported(self):
+        # the kernels are standard-library only; an array library would add
+        # megabytes of resident memory to every run
+        src = str(Path(fhskit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, fhskit, fhskit.cli; print(fhskit.__file__); print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        where, loaded = proc.stdout.split()
+        assert Path(where).resolve() == Path(fhskit.__file__).resolve()
+        assert loaded == "False"

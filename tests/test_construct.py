@@ -70,7 +70,7 @@ class TestPair:
                 continue
             params = PairParams(l, d1, d2, rng.randrange(l), rng.randrange(l))
             v = construct_pair(params)
-            assert max_auto(v) == 2
+            assert max_auto(v) == params.guaranteed_max_auto == 2
             assert is_uniform(v)
 
     def test_zero_offset_gap_matches_formula(self):
@@ -107,7 +107,7 @@ class TestTriple:
         params = TripleParams(11, 2, 3, 5)
         v = construct_triple(params)
         assert params.guaranteed_gap == 1
-        assert max(brute_hamming_profile(v).values[1:]) == 3
+        assert max(brute_hamming_profile(v).values[1:]) == params.guaranteed_max_auto == 3
         assert min_gap(v) == 1
         assert is_uniform(v)
 
@@ -215,7 +215,7 @@ class TestConstructRecursive:
             rng.shuffle(pi)
             params = RecursiveParams(l, m * e1, m * e2, tuple(pi))
             u = construct_recursive(params)
-            assert max_auto(u) == max_auto(params.order_seq.as_fhs())
+            assert max_auto(u) == params.guaranteed_max_auto == max_auto(params.order_seq.as_fhs())
             if gap_condition(l, m * e1, m * e2):
                 assert min_gap(u) == m * e1 - 1
 

@@ -1,11 +1,16 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhskit import (
+    CorrelationProfile,
     Fhs,
     ParameterError,
     auto_profile,
+    brute_hamming_profile,
     construct_pair,
     cross_profile,
     ds_sequence,
@@ -19,6 +24,7 @@ from fhskit import (
     wg_lg_bound,
 )
 from fhskit.construct import PairParams
+from fhskit.sequence import _product_cost
 
 from vectors import B1_SEED_18, PAIR_50, PIPELINE_U50, RECURSIVE_42
 
@@ -42,6 +48,14 @@ class TestFhs:
             Fhs(3, (0, 1, 3))
         with pytest.raises(ParameterError, match="index 1"):
             Fhs(3, (0, 1.5, 2))
+
+    def test_refusals_quote_input_briefly(self):
+        for args in ((3, (0, [[[[[[[[[[0]]]]]]]]]])), ("x" * 5000, (0,)), (3, (0, 10**5000)), (10**200, (-1,))):
+            with pytest.raises(ParameterError) as caught:
+                Fhs(*args)
+            assert len(str(caught.value)) < 200
+        with pytest.raises(ParameterError, match=r"^field 'l' must be an integer, got 'y+\.\.\.y+'$"):
+            Fhs.from_json_dict({"l": "y" * 5000, "seq": [0]})
 
     def test_json_round_trip(self):
         s = Fhs(25, PAIR_50)
@@ -95,6 +109,81 @@ class TestHammingCross:
             values = cross_profile(s, t).values
             for tau in range(n):
                 assert values[tau] == n - _hamming_distance(s.symbols, t.shifted(tau).symbols)
+
+
+def _skewed(rng, n, l, counts):
+    """A shuffled length-n sequence: symbol v appears counts[v] times, the rest
+    of the slots hold symbols from len(counts) to l - 1, uniformly at random."""
+    symbols = [v for v, c in enumerate(counts) for _ in range(c)]
+    symbols += [rng.randrange(len(counts), l) for _ in range(n - len(symbols))]
+    rng.shuffle(symbols)
+    return Fhs(l, tuple(symbols))
+
+
+class TestKernel:
+    # cross_profile bins the pairs of a symbol with c_s(v) * c_t(v) <= _product_cost
+    # and multiplies the rest; brute_hamming_profile is the independent reference.
+
+    @pytest.mark.parametrize("n", [24, 60, 200, 400])
+    def test_both_paths_match_brute_force(self, n):
+        cost = _product_cost(n, 2)
+        dense = next(c for c in range(n + 1) if c * c > cost)
+        assert (dense - 1) ** 2 <= cost  # dense - 1 is the largest sparse count
+        rng = random.Random(n)
+        l = 4 + n // 8
+        for _ in range(3):
+            # symbol 0 just past the threshold, 1 just below it, 2 only in s
+            # (absent from t), 3 frequent in s and sparse against t
+            s = _skewed(rng, n, l, (dense, dense - 1, 3, n // 3))
+            t = _skewed(rng, n, l, (dense, dense - 1, 0, 1))
+            assert auto_profile(s).values == brute_hamming_profile(s).values
+            assert cross_profile(s, t).values == brute_hamming_profile(s, t).values
+            assert cross_profile(t, s).values == brute_hamming_profile(t, s).values
+
+    def test_all_short_binary_pairs(self):
+        # n = 1 is always sparse; from n = 2 a symbol that fills s and t is dense
+        for n in (1, 2, 3, 4):
+            for a, b in itertools.product(itertools.product((0, 1), repeat=n), repeat=2):
+                s, t = Fhs(2, a), Fhs(2, b)
+                assert cross_profile(s, t) == brute_hamming_profile(s, t), (a, b)
+
+    @pytest.mark.parametrize("n", [65535, 65536])
+    def test_field_width_edge(self, n):
+        # one symbol: every shift matches everywhere, so H(tau) = n fills a
+        # 16-bit field exactly at n = 2^16 - 1; from 2^16 the fields are 32-bit
+        assert auto_profile(Fhs(1, (0,) * n)).values == (n,) * n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda l: st.tuples(
+        st.just(l),
+        st.integers(1, 80).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(0, l - 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, l - 1), min_size=n, max_size=n),
+        )),
+    )))
+    def test_matches_brute_force(self, case):
+        l, (a, b) = case
+        s, t = Fhs(l, tuple(a)), Fhs(l, tuple(b))
+        assert cross_profile(s, t) == brute_hamming_profile(s, t)
+        assert auto_profile(s) == brute_hamming_profile(s)
+
+
+class TestCorrelationProfile:
+    def test_refusals(self):
+        for kind, values, message in (
+            ("both", (1,), "kind must be 'auto' or 'cross', got 'both'"),
+            ("cross", (), "profile must cover at least one shift"),
+            ("cross", (0, 3), r"profile values must lie in \[0, n\]"),
+            ("cross", (0, -1), r"profile values must lie in \[0, n\]"),
+            ("auto", (2, 1, 1), r"auto profile must have H\(0\) = n"),
+            ("auto", (4, 1, 2, 0), r"auto profile must satisfy H\(tau\) = H\(n - tau\)"),
+        ):
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                CorrelationProfile(kind, values)
+
+    def test_accepts_valid_profiles(self):
+        assert CorrelationProfile("auto", [3, 1, 1]).values == (3, 1, 1)
+        assert CorrelationProfile("cross", (0, 2, 1)).length == 3
 
 
 class TestMaxAuto:
