@@ -7,7 +7,6 @@ from .construct import (
     TripleParams,
     construct_pair,
     construct_recursive,
-    construct_recursive_shifted,
     construct_triple,
     ds_sequence,
     gap_condition,

@@ -66,15 +66,19 @@ def _dump(obj, args) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _construction_output(fhs: Fhs, params: dict, claims: dict, constraints: str | None):
+def _construction_output(fhs: Fhs, meta: dict, params=None):
+    """The output object; claims and constraints come from params, and seeds pass none."""
     out = {
         "fhs": fhs.to_json_dict(),
-        "construction": params,
-        "claims": claims,
+        "construction": meta,
+        "claims": {
+            "max_auto": None if params is None else params.guaranteed_max_auto,
+            "min_gap": None if params is None else params.guaranteed_gap,
+        },
         "verification": verify_sequence(fhs).to_json_dict(),
     }
-    if constraints is not None:
-        out["constraints"] = constraints
+    if params is not None:
+        out["constraints"] = params.constraints
     return out
 
 
@@ -83,28 +87,21 @@ def _cmd_construct(args):
         offsets = _ints(args.offsets) if args.offsets else (0, 0)
         if len(offsets) != 2:
             raise ParameterError("pair construction takes exactly two offsets")
-        params = construct.PairParams(args.l, args.d1, args.d2, offsets[0], offsets[1])
-        fhs = construct.construct_pair(params)
-        claims = {"max_auto": params.guaranteed_max_auto, "min_gap": params.guaranteed_gap}
+        params = construct.PairParams(args.l, args.d1, args.d2, *offsets)
         return _construction_output(
-            fhs,
+            construct.construct_pair(params),
             {"kind": "pair", "l": args.l, "d1": args.d1, "d2": args.d2, "offsets": list(offsets)},
-            claims,
-            params.constraints,
+            params,
         )
     if args.family == "triple":
         if args.d3 is None:
             raise ParameterError("triple construction needs --d3")
         offsets = _ints(args.offsets) if args.offsets else (0, 0, 0)
-        params = construct.TripleParams(args.l, args.d1, args.d2, args.d3)
-        fhs = construct.construct_triple(params, offsets, unchecked=args.unchecked)
-        guaranteed = offsets == (0, 0, 0)
-        claims = {
-            "max_auto": params.guaranteed_max_auto if guaranteed else None,
-            "min_gap": params.guaranteed_gap if guaranteed else None,
-        }
+        if len(offsets) != 3:
+            raise ParameterError("triple construction takes exactly three offsets")
+        params = construct.TripleParams(args.l, args.d1, args.d2, args.d3, *offsets, unchecked=args.unchecked)
         return _construction_output(
-            fhs,
+            construct.construct_triple(params),
             {
                 "kind": "triple",
                 "l": args.l,
@@ -113,24 +110,15 @@ def _cmd_construct(args):
                 "d3": args.d3,
                 "offsets": list(offsets),
             },
-            claims,
-            params.constraints,
+            params,
         )
     # recursive
     if args.pi is None:
         raise ParameterError("recursive construction needs --pi")
     pi = _ints(args.pi)
-    params = construct.RecursiveParams(args.l, args.d1, args.d2, pi)
-    if args.shift_k:
-        fhs = construct.construct_recursive_shifted(params, args.shift_k)
-    else:
-        fhs = construct.construct_recursive(params)
-    claims = {
-        "max_auto": params.guaranteed_max_auto,
-        "min_gap": None if args.shift_k else params.guaranteed_gap,
-    }
+    params = construct.RecursiveParams(args.l, args.d1, args.d2, pi, shift=args.shift_k)
     return _construction_output(
-        fhs,
+        construct.construct_recursive(params),
         {
             "kind": "recursive",
             "l": args.l,
@@ -140,8 +128,7 @@ def _cmd_construct(args):
             "pi": list(pi),
             "shift_k": args.shift_k,
         },
-        claims,
-        params.constraints,
+        params,
     )
 
 
@@ -177,7 +164,7 @@ def _build_seed(args) -> tuple[Fhs, dict]:
 
 def _cmd_seed(args):
     fhs, meta = _build_seed(args)
-    return _construction_output(fhs, meta, {"max_auto": None, "min_gap": None}, None)
+    return _construction_output(fhs, meta)
 
 
 def _cmd_pipeline(args):
@@ -194,8 +181,7 @@ def _cmd_pipeline(args):
             "m": params.m,
             "lift_index": args.lift_index,
         },
-        {"max_auto": params.guaranteed_max_auto, "min_gap": params.guaranteed_gap},
-        params.constraints,
+        params,
     )
     out["seed_fhs"] = seed.to_json_dict()
     out["pi"] = list(params.pi)

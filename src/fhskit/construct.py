@@ -23,12 +23,17 @@ def _ds_symbols(l: int, d: int, offset: int, length: int) -> tuple[int, ...]:
     return tuple((i * d + offset) % l for i in range(length))
 
 
+def _require_offsets(l: int, offsets) -> None:
+    for off in offsets:
+        if not 0 <= off < l:
+            raise ParameterError(f"offset {off} out of range [0, {l})")
+
+
 def ds_sequence(l: int, d: int, offset: int = 0, length: int | None = None) -> Fhs:
     """The decimated sequence s_i = (i*d + offset) mod l for 0 <= i < length."""
     if l < 1:
         raise ParameterError(f"need l >= 1, got {l}")
-    if not 0 <= offset < l:
-        raise ParameterError(f"offset {offset} out of range [0, {l})")
+    _require_offsets(l, (offset,))
     if length is None:
         length = l
     if length < 1:
@@ -66,9 +71,7 @@ class PairParams:
 
     def __post_init__(self) -> None:
         _require_du_steps(self.l, (self.d1, self.d2))
-        for name, off in (("i1", self.i1), ("i2", self.i2)):
-            if not 0 <= off < self.l:
-                raise ParameterError(f"offset {name}={off} out of range [0, {self.l})")
+        _require_offsets(self.l, (self.i1, self.i2))
 
     @property
     def guaranteed_gap(self) -> int | None:
@@ -80,24 +83,47 @@ class PairParams:
 
 @dataclass(frozen=True)
 class TripleParams:
-    """Three distinct difference-unit steps (offsets are handled at build time)."""
+    """Three distinct difference-unit steps plus optional per-block offsets.
+
+    Nonzero offsets can break optimality, so they are refused unless
+    unchecked=True, which builds the sequence without any promise.
+    """
 
     l: int
     d1: int
     d2: int
     d3: int
+    i1: int = 0
+    i2: int = 0
+    i3: int = 0
+    unchecked: bool = False
 
-    # The maximum nontrivial autocorrelation of the zero-offset sequence.
-    guaranteed_max_auto: ClassVar[int] = 3
     # The condition behind the promises.
     constraints: ClassVar[str] = "d1,d2,d3 in DU(Z_l)"
 
     def __post_init__(self) -> None:
         _require_du_steps(self.l, (self.d1, self.d2, self.d3))
+        _require_offsets(self.l, (self.i1, self.i2, self.i3))
+        if not (self._zero_offsets or self.unchecked):
+            raise ParameterError(
+                "nonzero offsets void the optimality guarantee; pass unchecked=True to build anyway"
+            )
 
     @property
-    def guaranteed_gap(self) -> int:
-        return unit_step_min_gap(self.l, (self.d1, self.d2, self.d3))
+    def _zero_offsets(self) -> bool:
+        return (self.i1, self.i2, self.i3) == (0, 0, 0)
+
+    @property
+    def guaranteed_max_auto(self) -> int | None:
+        """The maximum nontrivial autocorrelation 3, promised only for zero offsets."""
+        return 3 if self._zero_offsets else None
+
+    @property
+    def guaranteed_gap(self) -> int | None:
+        """The gap promise, available only for zero offsets."""
+        if self._zero_offsets:
+            return unit_step_min_gap(self.l, (self.d1, self.d2, self.d3))
+        return None
 
 
 def construct_pair(params: PairParams) -> Fhs:
@@ -106,32 +132,22 @@ def construct_pair(params: PairParams) -> Fhs:
     return Fhs(l, _ds_symbols(l, params.d1, params.i1, l) + _ds_symbols(l, params.d2, params.i2, l))
 
 
-def construct_triple(params: TripleParams, offsets=(0, 0, 0), unchecked: bool = False) -> Fhs:
-    """s^{d1} || s^{d2} || s^{d3}: an optimal (3l, l, 3) sequence at zero offsets.
-
-    Nonzero offsets can break optimality, so they are refused unless
-    unchecked=True, which builds the sequence without any correlation promise.
-    """
-    offsets = tuple(offsets)
-    if len(offsets) != 3:
-        raise ParameterError("need exactly three offsets")
-    for off in offsets:
-        if not 0 <= off < params.l:
-            raise ParameterError(f"offset {off} out of range [0, {params.l})")
-    if offsets != (0, 0, 0) and not unchecked:
-        raise ParameterError(
-            "nonzero offsets void the optimality guarantee; pass unchecked=True to build anyway"
-        )
+def construct_triple(params: TripleParams) -> Fhs:
+    """s^{d1,i1} || s^{d2,i2} || s^{d3,i3}: an optimal (3l, l, 3) sequence at zero offsets."""
     l = params.l
-    steps = (params.d1, params.d2, params.d3)
-    return Fhs(l, sum((_ds_symbols(l, d, off, l) for d, off in zip(steps, offsets)), ()))
+    return Fhs(
+        l,
+        _ds_symbols(l, params.d1, params.i1, l)
+        + _ds_symbols(l, params.d2, params.i2, l)
+        + _ds_symbols(l, params.d3, params.i3, l),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Block-recursive construction
 
 
-def _common_gcd(l: int, d1: int, d2: int, m: int | None = None) -> int:
+def _common_gcd(l: int, d1: int, d2: int) -> int:
     if not 2 <= d1 < d2 < l:
         raise ParameterError(f"need 2 <= d1 < d2 < l, got d1={d1}, d2={d2}, l={l}")
     g = math.gcd(l, d1)
@@ -142,8 +158,6 @@ def _common_gcd(l: int, d1: int, d2: int, m: int | None = None) -> int:
         )
     if g < 2:
         raise ParameterError("common gcd m must be >= 2; m = 1 is the plain pair construction")
-    if m is not None and m != g:
-        raise ParameterError(f"(l, d1, d2) have common gcd {g}, but m = {m} is needed")
     l1 = l // g
     # implied by the shared gcd; derived coprimality is asserted, not re-validated
     assert math.gcd(l1, d1 // g) == 1 and math.gcd(l1, d2 // g) == 1
@@ -183,19 +197,28 @@ def pi_m(pi, m: int) -> OrderSeq:
 
 @dataclass(frozen=True)
 class RecursiveParams:
-    """Inputs of the block-recursive construction."""
+    """Inputs of the block-recursive construction.
+
+    m, when given, must equal the common gcd; shift moves every entry of the
+    base matrix by +shift mod l, which keeps the correlation promise but voids
+    the gap promise.
+    """
 
     l: int
     d1: int
     d2: int
     pi: tuple[int, ...]
     m: int | None = None
+    shift: int = 0
 
     def __post_init__(self) -> None:
-        g = _common_gcd(self.l, self.d1, self.d2, self.m)
+        g = _common_gcd(self.l, self.d1, self.d2)
+        if self.m is not None and self.m != g:
+            raise ParameterError(f"(l, d1, d2) have common gcd {g}, but m = {self.m} is needed")
         object.__setattr__(self, "m", g)
         object.__setattr__(self, "pi", tuple(self.pi))
         pi_m(self.pi, g)  # raises unless pi permutes {0, ..., 2m-1}
+        _require_offsets(self.l, (self.shift,))
 
     @property
     def order_seq(self) -> OrderSeq:
@@ -208,56 +231,48 @@ class RecursiveParams:
 
     @property
     def guaranteed_gap(self) -> int | None:
-        """The gap promise d1 - 1, available only when gap_condition holds."""
-        return self.d1 - 1 if gap_condition(self.l, self.d1, self.d2, self.m) else None
+        """The gap promise d1 - 1, available only unshifted and when gap_condition holds."""
+        if self.shift == 0 and gap_condition(self.l, self.d1, self.d2):
+            return self.d1 - 1
+        return None
 
     @property
     def constraints(self) -> str:
         """The conditions behind the promises: the gcd rule, plus the gap rule when it holds."""
         gcd_rule = "gcd(l,d1)=gcd(l,d2)=gcd(l,d2-d1)=m"
-        return gcd_rule if self.guaranteed_gap is None else gcd_rule + ", d1+d2<l-m+2"
+        return gcd_rule + ", d1+d2<l-m+2" if gap_condition(self.l, self.d1, self.d2) else gcd_rule
 
 
-def recursive_rows(l: int, d1: int, d2: int, m: int | None = None):
+def recursive_rows(l: int, d1: int, d2: int):
     """Rows s^0..s^{m-1} and t^0..t^{m-1}: s^j_i = i*d1 + j, t^k_i = i*d2 + k (mod l)."""
-    g = _common_gcd(l, d1, d2, m)
+    g = _common_gcd(l, d1, d2)
     l1 = l // g
     s_rows = [tuple((i * d1 + j) % l for i in range(l1)) for j in range(g)]
     t_rows = [tuple((i * d2 + k) % l for i in range(l1)) for k in range(g)]
     return s_rows, t_rows
 
 
-def gap_condition(l: int, d1: int, d2: int, m: int | None = None) -> bool:
+def gap_condition(l: int, d1: int, d2: int) -> bool:
     """True iff d1 + d2 < l - m + 2, under which the built gap equals d1 - 1."""
-    g = _common_gcd(l, d1, d2, m)
-    return d1 + d2 < l - g + 2
-
-
-def _concatenate_blocks(l: int, blocks, pi) -> Fhs:
-    seq: list[int] = []
-    for idx in pi:
-        seq.extend(blocks[idx])
-    return Fhs(l, tuple(seq))
+    return d1 + d2 < l - _common_gcd(l, d1, d2) + 2
 
 
 def construct_recursive(params: RecursiveParams) -> Fhs:
     """Concatenate the 2m rows in pi order into a length-2l sequence.
 
-    The output's maximum autocorrelation equals that of the mod-m reduction of
-    pi viewed as a length-2m sequence; its minimum gap is
-    params.guaranteed_gap whenever that is not None.
+    Every entry is moved by +params.shift mod l.  The output's maximum
+    autocorrelation equals that of the mod-m reduction of pi viewed as a
+    length-2m sequence; its minimum gap is params.guaranteed_gap whenever that
+    is not None.
     """
-    s_rows, t_rows = recursive_rows(params.l, params.d1, params.d2, params.m)
-    return _concatenate_blocks(params.l, s_rows + t_rows, params.pi)
-
-
-def construct_recursive_shifted(params: RecursiveParams, k: int) -> Fhs:
-    """Same construction from the shifted base matrix: every row entry moved by +k mod l."""
-    if not 0 <= k < params.l:
-        raise ParameterError(f"shift {k} out of range [0, {params.l})")
-    s_rows, t_rows = recursive_rows(params.l, params.d1, params.d2, params.m)
-    shifted = [tuple((v + k) % params.l for v in row) for row in s_rows + t_rows]
-    return _concatenate_blocks(params.l, shifted, params.pi)
+    s_rows, t_rows = recursive_rows(params.l, params.d1, params.d2)
+    blocks = s_rows + t_rows
+    seq: list[int] = []
+    for idx in params.pi:
+        seq.extend(blocks[idx])
+    if params.shift:
+        seq = [(v + params.shift) % params.l for v in seq]
+    return Fhs(params.l, tuple(seq))
 
 
 def lift_at_index(order: OrderSeq, index: int) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ParameterError
 
@@ -155,28 +154,19 @@ def _poly_mod(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
     return a
 
 
-def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility over Z_p: no monic factor of degree 1 to degree // 2."""
-    degree = len(mod) - 1
-    for k in range(1, degree // 2 + 1):
-        for tail in product(range(p), repeat=k):
-            if not _poly_mod(list(mod), tail + (1,), p):
-                return False
-    return True
-
-
 class GfContext:
-    """GF(p^e) defined by a monic irreducible modulus polynomial.
+    """GF(p^e) defined by a monic primitive modulus polynomial.
 
     Elements are coefficient tuples of length e (ascending degree, reduced mod
-    p).  The generator omega defaults to the residue class of the indeterminate
-    x, i.e. the root of the modulus polynomial; it is validated to have full
-    multiplicative order and is never searched for silently.
+    p).  The generator omega is the residue class of the indeterminate x, i.e.
+    the root of the modulus polynomial.  It is validated to have full order
+    q - 1; that also proves the modulus irreducible, since then Z_p[x]/(modulus)
+    has q - 1 units and is therefore a field.
     """
 
     MAX_ELEMENTS = 1 << 16
 
-    def __init__(self, p: int, modulus, omega=None):
+    def __init__(self, p: int, modulus):
         if not is_prime(p):
             raise ParameterError(f"characteristic must be prime, got {p}")
         mod = tuple(c % p for c in modulus)
@@ -188,26 +178,29 @@ class GfContext:
         q = p ** degree
         if q > self.MAX_ELEMENTS:
             raise ParameterError(f"field with {q} elements exceeds the 2^16 cap")
-        if not _is_irreducible(mod, p):
-            raise ParameterError("modulus polynomial is reducible over Z_p")
         self.p = p
         self.degree = degree
         self.q = q
         self.modulus = mod
         self.zero = (0,) * degree
         self.one = self.element((1,))
-        self.omega = self.element(omega) if omega is not None else self.element((0, 1))
+        self.omega = self.element((0, 1))
         self._exp: list[tuple[int, ...]] = []
         self._log: dict[tuple[int, ...], int] = {}
+        low = mod[:-1]
         v = self.one
         for k in range(q - 1):
             if v in self._log:
-                raise ParameterError("omega does not generate the multiplicative group")
+                break
             self._log[v] = k
             self._exp.append(v)
-            v = self.mul(v, self.omega)
-        if v != self.one:
-            raise ParameterError("omega does not generate the multiplicative group")
+            # v * x: shift the coefficients up one place, then subtract top * modulus
+            top = v[-1]
+            v = tuple((a - top * c) % p for a, c in zip((0,) + v[:-1], low))
+        if len(self._exp) != q - 1 or v != self.one:
+            raise ParameterError(
+                f"modulus polynomial is not primitive over Z_{p}: x does not have order {q - 1}"
+            )
 
     def element(self, coeffs) -> tuple[int, ...]:
         """Reduce a coefficient sequence into canonical element form."""

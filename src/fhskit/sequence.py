@@ -228,18 +228,16 @@ def min_gap(s: Fhs) -> int:
     return smallest - 1
 
 
-def frequency_counts(s: Fhs) -> dict[int, int]:
-    """Occurrence count of every alphabet symbol; absent symbols count 0."""
-    counts = dict.fromkeys(range(s.alphabet_size), 0)
-    for v in s.symbols:
-        counts[v] += 1
-    return counts
+def frequency_counts(s: Fhs) -> Counter:
+    """Occurrence count of every symbol present; indexing an absent symbol gives 0."""
+    return Counter(s.symbols)
 
 
 def is_uniform(s: Fhs) -> bool:
     """True iff symbol counts spread exactly 0 (when l | n) or 1 (otherwise)."""
     counts = frequency_counts(s)
-    spread = max(counts.values()) - min(counts.values())
+    least = min(counts.values()) if len(counts) == s.alphabet_size else 0
+    spread = max(counts.values()) - least
     return spread == (0 if s.n % s.alphabet_size == 0 else 1)
 
 

@@ -188,7 +188,7 @@ def test_c06_row_correlation_statements():
                 for d2 in range(d1 + 1, l):
                     if math.gcd(l, d2) != m or math.gcd(l, d2 - d1) != m:
                         continue
-                    s_rows, t_rows = recursive_rows(l, d1, d2, m)
+                    s_rows, t_rows = recursive_rows(l, d1, d2)
                     S = [Fhs(l, r) for r in s_rows]
                     T = [Fhs(l, r) for r in t_rows]
                     l1 = l // m
@@ -250,7 +250,7 @@ def test_c08_order_sequence_table():
 
 def test_c09_shifted_triple_counterexample():
     with criterion(9, "shifted triple loses optimality", 0.001):
-        v = construct_triple(TripleParams(13, 4, 5, 7), offsets=(1, 3, 4), unchecked=True)
+        v = construct_triple(TripleParams(13, 4, 5, 7, 1, 3, 4, unchecked=True))
         assert max_auto(v) > 3
 
 

@@ -39,6 +39,17 @@ class TestConstructCommands:
         out = run_json(capsys, "construct", "triple", "--l", "13", "--d1", "4", "--d2", "5",
                        "--d3", "7", "--offsets", "1,3,4", "--unchecked")
         assert out["verification"]["max_auto"] > 3
+        assert out["claims"] == {"max_auto": None, "min_gap": None}
+        assert out["constraints"] == "d1,d2,d3 in DU(Z_l)"
+
+    def test_offsets_and_shift_void_only_the_gap_claim(self, capsys):
+        out = run_json(capsys, "construct", "pair", "--l", "25", "--d1", "7", "--d2", "9",
+                       "--offsets", "3,11")
+        assert out["claims"] == {"max_auto": 2, "min_gap": None}
+        out = run_json(capsys, "construct", "recursive", "--l", "21", "--d1", "6", "--d2", "9",
+                       "--pi", "0,3,1,2,4,5", "--shift-k", "4")
+        assert out["claims"] == {"max_auto": 2, "min_gap": None}
+        assert out["constraints"].endswith(", d1+d2<l-m+2")
 
     def test_recursive(self, capsys):
         out = run_json(capsys, "construct", "recursive", "--l", "21", "--d1", "6", "--d2", "9",

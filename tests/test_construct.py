@@ -14,7 +14,6 @@ from fhskit import (
     brute_hamming_profile,
     construct_pair,
     construct_recursive,
-    construct_recursive_shifted,
     construct_triple,
     ds_sequence,
     gap_condition,
@@ -112,17 +111,21 @@ class TestTriple:
         assert is_uniform(v)
 
     def test_offsets_require_explicit_opt_out(self):
-        params = TripleParams(13, 4, 5, 7)
-        with pytest.raises(ParameterError):
-            construct_triple(params, offsets=(1, 3, 4))
-        v = construct_triple(params, offsets=(1, 3, 4), unchecked=True)
+        with pytest.raises(ParameterError, match="unchecked"):
+            TripleParams(13, 4, 5, 7, 1, 3, 4)
+        params = TripleParams(13, 4, 5, 7, 1, 3, 4, unchecked=True)
+        v = construct_triple(params)
         assert max_auto(v) > 3  # the correlation promise really does break
+        assert (params.guaranteed_max_auto, params.guaranteed_gap) == (None, None)
+        assert params.constraints == "d1,d2,d3 in DU(Z_l)"
+        zero = TripleParams(25, 6, 7, 9, unchecked=True)
+        assert (zero.guaranteed_max_auto, zero.guaranteed_gap) == (3, 5)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             TripleParams(25, 6, 7, 12)  # 12 - 7 = 5 shares a factor with 25
         with pytest.raises(ParameterError):
-            construct_triple(TripleParams(25, 6, 7, 9), offsets=(0, 0))
+            TripleParams(25, 6, 7, 9, 0, 25, 0, unchecked=True)
 
 
 class TestRecursiveRows:
@@ -137,14 +140,14 @@ class TestRecursiveRows:
         assert t_rows[0] == (0, 9, 3, 12, 6)
 
     def test_row_j_is_row_zero_plus_j(self):
-        s_rows, t_rows = recursive_rows(21, 6, 9, 3)
+        s_rows, t_rows = recursive_rows(21, 6, 9)
         for j in (1, 2):
             assert s_rows[j] == tuple((v + j) % 21 for v in s_rows[0])
             assert t_rows[j] == tuple((v + j) % 21 for v in t_rows[0])
 
     def test_gcd_validation(self):
         with pytest.raises(ParameterError):
-            recursive_rows(21, 6, 9, m=7)
+            RecursiveParams(21, 6, 9, PI_6, m=7)
         with pytest.raises(ParameterError):
             recursive_rows(21, 6, 8)  # gcds 3, 1, 2 differ
         with pytest.raises(ParameterError):
@@ -227,15 +230,17 @@ class TestConstructRecursive:
 class TestShiftedVariant:
     def test_zero_shift_is_identity(self):
         params = RecursiveParams(21, 6, 9, PI_6)
-        assert construct_recursive_shifted(params, 0) == construct_recursive(params)
+        assert construct_recursive(RecursiveParams(21, 6, 9, PI_6, shift=0)) == construct_recursive(params)
 
     def test_shifted_correlation_unchanged(self):
-        params = RecursiveParams(21, 6, 9, PI_6)
         for k in (1, 5, 20):
-            assert max_auto(construct_recursive_shifted(params, k)) == 2
+            params = RecursiveParams(21, 6, 9, PI_6, shift=k)
+            assert max_auto(construct_recursive(params)) == params.guaranteed_max_auto == 2
+            assert params.guaranteed_gap is None
+            assert params.constraints.endswith(", d1+d2<l-m+2")
 
     def test_shifted_rows_are_rotations(self):
-        s_rows, _ = recursive_rows(21, 6, 9, 3)
+        s_rows, _ = recursive_rows(21, 6, 9)
         k = 1
         shifted = [tuple((v + k) % 21 for v in row) for row in s_rows]
 
@@ -246,9 +251,8 @@ class TestShiftedVariant:
             assert shifted[j] in rotations(s_rows[(j + k) % 3])
 
     def test_shift_range(self):
-        params = RecursiveParams(21, 6, 9, PI_6)
         with pytest.raises(ParameterError):
-            construct_recursive_shifted(params, 21)
+            RecursiveParams(21, 6, 9, PI_6, shift=21)
 
 
 class TestLifting:

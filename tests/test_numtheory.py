@@ -15,7 +15,7 @@ from fhskit import (
     factorize,
     is_du,
 )
-from fhskit.numtheory import _is_irreducible, smallest_prime_factor, units
+from fhskit.numtheory import smallest_prime_factor, units
 
 
 class TestFactorize:
@@ -169,7 +169,12 @@ class TestGfContext:
                 assert ctx.mul(a, ctx.exp(-ctx.log(a))) == ctx.one
 
     @pytest.mark.parametrize("p", (2, 3, 5))
-    def test_irreducible_matches_brute_force_products(self, p):
+    def test_accepted_moduli_are_exactly_the_primitive_ones(self, p):
+        # no accepted modulus is a product of smaller monic polynomials, and
+        # each degree d accepts phi(p^d - 1) / d moduli, the number of
+        # primitive polynomials
+        top = 3 if p == 5 else 4
+
         def monic(degree):
             return [tail + (1,) for tail in product(range(p), repeat=degree)]
 
@@ -180,12 +185,26 @@ class TestGfContext:
                     out[i + j] = (out[i + j] + x * y) % p
             return tuple(out)
 
+        def totient(n):
+            return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
         reducible = {
-            times(a, b) for da in range(1, 4) for db in range(da, 5 - da) for a in monic(da) for b in monic(db)
+            times(a, b)
+            for da in range(1, top)
+            for db in range(da, top + 1 - da)
+            for a in monic(da)
+            for b in monic(db)
         }
-        for degree in range(1, 5):
+        for degree in range(1, top + 1):
+            accepted = []
             for mod in monic(degree):
-                assert _is_irreducible(mod, p) == (mod not in reducible), mod
+                try:
+                    GfContext(p, mod)
+                except ParameterError:
+                    continue
+                accepted.append(mod)
+            assert not reducible.intersection(accepted), degree
+            assert len(accepted) == totient(p**degree - 1) // degree, degree
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,15 @@ class TestUniform:
     def test_absent_symbols_count_zero(self):
         assert is_uniform(Fhs(4, (0, 1, 2)))
         assert not is_uniform(Fhs(4, (0, 0, 1)))
+
+    def test_memory_follows_length_not_alphabet(self):
+        tracemalloc.start()
+        try:
+            assert is_uniform(Fhs(10**6, (5,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLgBound:
