@@ -82,7 +82,21 @@ def _construction_output(fhs: Fhs, meta: dict, params=None):
     return out
 
 
+# the optional construct flags each family reads, by argparse dest; each defaults to None
+_FAMILY_FLAGS = {"pair": {"offsets"}, "triple": {"d3", "offsets", "unchecked"}, "recursive": {"pi", "shift_k"}}
+_OPTIONAL_FLAGS = {
+    "d3": "--d3", "offsets": "--offsets", "unchecked": "--unchecked", "pi": "--pi", "shift_k": "--shift-k",
+}
+
+
 def _cmd_construct(args):
+    stray = [
+        flag
+        for dest, flag in _OPTIONAL_FLAGS.items()
+        if getattr(args, dest) is not None and dest not in _FAMILY_FLAGS[args.family]
+    ]
+    if stray:
+        raise ParameterError(f"{', '.join(stray)} not used by the {args.family} construction")
     if args.family == "pair":
         offsets = _ints(args.offsets) if args.offsets else (0, 0)
         if len(offsets) != 2:
@@ -99,7 +113,7 @@ def _cmd_construct(args):
         offsets = _ints(args.offsets) if args.offsets else (0, 0, 0)
         if len(offsets) != 3:
             raise ParameterError("triple construction takes exactly three offsets")
-        params = construct.TripleParams(args.l, args.d1, args.d2, args.d3, *offsets, unchecked=args.unchecked)
+        params = construct.TripleParams(args.l, args.d1, args.d2, args.d3, *offsets, unchecked=bool(args.unchecked))
         return _construction_output(
             construct.construct_triple(params),
             {
@@ -116,7 +130,8 @@ def _cmd_construct(args):
     if args.pi is None:
         raise ParameterError("recursive construction needs --pi")
     pi = _ints(args.pi)
-    params = construct.RecursiveParams(args.l, args.d1, args.d2, pi, shift=args.shift_k)
+    shift = 0 if args.shift_k is None else args.shift_k
+    params = construct.RecursiveParams(args.l, args.d1, args.d2, pi, shift=shift)
     return _construction_output(
         construct.construct_recursive(params),
         {
@@ -126,7 +141,7 @@ def _cmd_construct(args):
             "d2": args.d2,
             "m": params.m,
             "pi": list(pi),
-            "shift_k": args.shift_k,
+            "shift_k": shift,
         },
         params,
     )
@@ -265,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--d3", type=int)
     p.add_argument("--offsets", help="comma-separated per-block offsets")
-    p.add_argument("--unchecked", action="store_true", help="allow offsets that void the guarantees")
+    p.add_argument("--unchecked", action="store_true", default=None, help="allow offsets that void the guarantees")
     p.add_argument("--pi", help="comma-separated permutation image list")
-    p.add_argument("--shift-k", dest="shift_k", type=int, default=0)
+    p.add_argument("--shift-k", dest="shift_k", type=int)
     p.set_defaults(func=_cmd_construct)
 
     def add_seed_flags(q):

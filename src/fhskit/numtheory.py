@@ -1,8 +1,11 @@
 """Integer support: factorization, difference unit sets, and small finite fields.
 
-The finite-field arithmetic is table-driven and capped at 2^16 elements; the
-discrete log of any nonzero element is a dictionary lookup against a table of
-powers of a designated generator.
+GfContext holds the exp/log tables of GF(p^e), capped at 2^16 elements, with
+each element packed into one int; elements cross the public boundary as
+coefficient tuples.  It offers only what the cyclotomic construction uses:
+exp, log and logs_minus_one.  General field arithmetic (add, sub, mul, pow,
+element, elements) is not offered; tests/gf_reference.py keeps it, on tuples,
+as the reference the tables are checked against.
 """
 
 from __future__ import annotations
@@ -135,120 +138,101 @@ def multiplicative_order(a: int, p: int) -> int:
 # GF(p^e) with explicit log tables
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of a by the monic modulus, coefficients reduced mod p."""
-    a = [v % p for v in a]
-    deg_mod = len(mod) - 1
-    while len(_poly_trim(a)) - 1 >= deg_mod:
-        shift = len(a) - 1 - deg_mod
-        lead = a[-1]
-        for i, c in enumerate(mod):
-            a[shift + i] = (a[shift + i] - lead * c) % p
-        _poly_trim(a)
-    return a
-
-
 class GfContext:
     """GF(p^e) defined by a monic primitive modulus polynomial.
 
-    Elements are coefficient tuples of length e (ascending degree, reduced mod
-    p).  The generator omega is the residue class of the indeterminate x, i.e.
-    the root of the modulus polynomial.  It is validated to have full order
-    q - 1; that also proves the modulus irreducible, since then Z_p[x]/(modulus)
-    has q - 1 units and is therefore a field.
+    Elements cross the public boundary as coefficient tuples of length e
+    (ascending degree, reduced mod p).  Inside, the exp/log tables hold each
+    element packed into one int, b bits per coefficient: b = 1 for p = 2,
+    where adding is XOR, and otherwise room for 2p - 2 plus one guard bit, so
+    every coefficient of a sum is reduced at once without a carry between
+    fields.  The generator omega is the residue class of the indeterminate x,
+    i.e. the root of the modulus polynomial.  It is validated to have full
+    order q - 1; that also proves the modulus irreducible, since then
+    Z_p[x]/(modulus) has q - 1 units and is therefore a field.
     """
 
     MAX_ELEMENTS = 1 << 16
 
     def __init__(self, p: int, modulus):
+        if p < 2:
+            raise ParameterError(f"characteristic must be prime, got {p}")
+        coeffs = tuple(modulus)
+        degree = len(coeffs) - 1
+        if degree < 1:
+            raise ParameterError("modulus polynomial must have degree >= 1")
+        # before the primality test, whose trial division takes hours for a large p
+        if degree > 16 or p**degree > self.MAX_ELEMENTS:
+            raise ParameterError(f"field of order p^{degree} exceeds the 2^16 cap")
         if not is_prime(p):
             raise ParameterError(f"characteristic must be prime, got {p}")
-        mod = tuple(c % p for c in modulus)
-        if len(mod) < 2:
-            raise ParameterError("modulus polynomial must have degree >= 1")
+        mod = tuple(c % p for c in coeffs)
         if mod[-1] != 1:
             raise ParameterError("modulus polynomial must be monic")
-        degree = len(mod) - 1
-        q = p ** degree
-        if q > self.MAX_ELEMENTS:
-            raise ParameterError(f"field with {q} elements exceeds the 2^16 cap")
+        q = p**degree
         self.p = p
         self.degree = degree
         self.q = q
         self.modulus = mod
-        self.zero = (0,) * degree
-        self.one = self.element((1,))
-        self.omega = self.element((0, 1))
-        self._exp: list[tuple[int, ...]] = []
-        self._log: dict[tuple[int, ...], int] = {}
-        low = mod[:-1]
-        v = self.one
-        for k in range(q - 1):
-            if v in self._log:
-                break
-            self._log[v] = k
-            self._exp.append(v)
-            # v * x: shift the coefficients up one place, then subtract top * modulus
-            top = v[-1]
-            v = tuple((a - top * c) % p for a, c in zip((0,) + v[:-1], low))
-        if len(self._exp) != q - 1 or v != self.one:
+        b = self._bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+        top = b * (degree - 1)
+        low = (1 << top) - 1
+        # red[c]: the packed low coefficients of -c * modulus, which replace c x^e
+        red = [self._pack([-c * m % p for m in mod[:-1]]) for c in range(p)]
+        exp: list[int] = []
+        append = exp.append
+        v = 1
+        if p == 2:
+            for _ in range(q - 1):
+                append(v)
+                v = ((v & low) << 1) ^ red[v >> top]
+        else:
+            guard = self._pack([1 << (b - 1)] * degree)
+            p_all = self._pack([p] * degree)
+            for _ in range(q - 1):
+                append(v)
+                s = ((v & low) << b) + red[v >> top]
+                # a field's guard bit survives the subtraction iff it holds p or more
+                v = s - ((((s | guard) - p_all) & guard) >> (b - 1)) * p
+        self._exp = exp
+        self._log = dict(zip(exp, range(q - 1)))
+        # q - 1 distinct powers ending back at 1: x has order exactly q - 1
+        if v != 1 or len(self._log) != q - 1:
             raise ParameterError(
                 f"modulus polynomial is not primitive over Z_{p}: x does not have order {q - 1}"
             )
+        self.zero = (0,) * degree
+        self.one = self.exp(0)
+        self.omega = self.exp(1)
 
-    def element(self, coeffs) -> tuple[int, ...]:
-        """Reduce a coefficient sequence into canonical element form."""
-        c = _poly_mod(list(coeffs), self.modulus, self.p)
-        return tuple(c) + (0,) * (self.degree - len(c))
+    def _pack(self, coeffs) -> int:
+        b = self._bits
+        return sum(c << (b * i) for i, c in enumerate(coeffs))
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self.element(prod)
-
-    def pow(self, a, k: int):
-        if k < 0:
-            raise ParameterError("negative exponents are not supported")
-        acc = self.one
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
-    def exp(self, k: int):
+    def exp(self, k: int) -> tuple[int, ...]:
         """omega**k."""
-        return self._exp[k % (self.q - 1)]
+        v = self._exp[k % (self.q - 1)]
+        b = self._bits
+        mask = (1 << b) - 1
+        return tuple((v >> (b * i)) & mask for i in range(self.degree))
 
     def log(self, a) -> int:
-        """Discrete log base omega; defined for nonzero elements only."""
-        if a == self.zero:
+        """Discrete log base omega; defined for nonzero canonical elements only."""
+        a = tuple(a)
+        if len(a) != self.degree or not all(isinstance(c, int) and 0 <= c < self.p for c in a):
+            raise ParameterError(f"{a!r} is not a canonical element of this field")
+        if not any(a):
             raise ParameterError("discrete log of zero is undefined")
-        try:
-            return self._log[tuple(a)]
-        except KeyError:
-            raise ParameterError(f"{a!r} is not a canonical element of this field") from None
+        return self._log[self._pack(a)]
 
-    def elements(self):
-        """All q elements, zero first, then ascending powers of omega."""
-        return [self.zero] + list(self._exp)
+    def logs_minus_one(self) -> list[int | None]:
+        """log(omega**k - 1) at index k, None at k = 0 (omega**0 - 1 is zero).
+
+        Subtracting one changes only the lowest coefficient field.
+        """
+        log, p = self._log, self.p
+        field = (1 << self._bits) - 1
+        return [log.get(v - 1 if v & field else v + p - 1) for v in self._exp]
 
     def __repr__(self) -> str:
         return f"GfContext(p={self.p}, degree={self.degree}, modulus={self.modulus})"

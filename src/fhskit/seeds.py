@@ -104,14 +104,12 @@ def cyclotomic_construct(params: CyclotomyParams) -> Fhs:
     Class z is {omega^(z + j*e)}; its image under the indexing map must tile
     Z_{q-1} exactly once across all classes, otherwise the field setup is wrong.
     """
-    ctx = params.field
-    q = ctx.q
-    e, f, lam = params.e, params.f, params.special_log
+    q, e = params.field.q, params.e
+    images = params.field.logs_minus_one()  # log(omega^k - 1) at index k
+    images[0] = params.special_log
     out: list[int | None] = [None] * (q - 1)
     for z in range(e):
-        for j in range(f):
-            x = ctx.exp(z + j * e)
-            idx = lam if x == ctx.one else ctx.log(ctx.sub(x, ctx.one))
+        for idx in images[z::e]:  # omega^(z + j*e) for j in range(f)
             if out[idx] is not None:
                 raise ConsistencyError(f"class images collide at index {idx}")
             out[idx] = z

@@ -77,6 +77,26 @@ class TestConstructCommands:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
+    def test_stray_flags_are_refused(self, capsys):
+        pair = ("construct", "pair", "--l", "25", "--d1", "7", "--d2", "9")
+        triple = ("construct", "triple", "--l", "25", "--d1", "6", "--d2", "7", "--d3", "9")
+        recursive = ("construct", "recursive", "--l", "21", "--d1", "6", "--d2", "9", "--pi", "0,3,1,2,4,5")
+        for argv, named in (
+            (pair + ("--unchecked", "--shift-k", "3"), "--unchecked, --shift-k"),
+            (pair + ("--d3", "4"), "--d3"),
+            (pair + ("--pi", "1,2"), "--pi"),
+            (triple + ("--shift-k", "0"), "--shift-k"),
+            (triple + ("--pi", "0,1"), "--pi"),
+            (recursive + ("--d3", "4"), "--d3"),
+            (recursive + ("--offsets", "0,0"), "--offsets"),
+            (recursive + ("--unchecked",), "--unchecked"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: {named} not used by the {argv[1]} construction\n", err
+        # an explicit zero shift is read, and is the same as no shift
+        assert run(capsys, *recursive, "--shift-k", "0") == run(capsys, *recursive)
+
     def test_claims_match_verification(self, capsys):
         out = run_json(capsys, "construct", "pair", "--l", "25", "--d1", "7", "--d2", "9")
         for key, claimed in out["claims"].items():
@@ -107,6 +127,18 @@ class TestSeedAndPipeline:
         assert tuple(out["seed_fhs"]["seq"]) == QR_SEED_10
         assert out["pi"] == [0, 3, 4, 2, 1, 5, 6, 7, 9, 8]
         assert out["verification"]["min_gap"] == 4
+
+    def test_oversized_field_refused_before_primality(self):
+        # a 19-digit characteristic: trial division would run for hours, the
+        # 2^16 cap refuses it from p and the modulus degree alone
+        src = str(Path(fhskit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["seed", "cyclotomic", "--p", "1000000000000000003", "--modulus", "1,1", "--e", "2"]
+        proc = subprocess.run([sys.executable, "-m", "fhskit", *argv], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "2^16" in proc.stderr
 
     def test_pipeline_cyclotomic(self, capsys):
         out = run_json(capsys, "pipeline", "--seed", "cyclotomic", "--p", "5", "--modulus",

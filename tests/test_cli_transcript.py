@@ -51,7 +51,7 @@ COMMANDS = (
     "construct recursive --l 21 --d1 6 --d2 9 --pi 0,3,1,2,4,5 --shift-k 4",
     "construct recursive --l 15 --d1 6 --d2 9 --pi 0,3,1,2,4,5 --shift-k 2",
     "construct recursive --l 15 --d1 6 --d2 9 --pi 0,3,1,2,4,5",
-    "construct pair --l 25 --d1 7 --d2 9 --unchecked --shift-k 3",
+    "construct pair --l 25 --d1 7 --d2 9 --unchecked --shift-k 3",  # refused: pair reads neither flag
     # compact variants
     "construct triple --l 25 --d1 6 --d2 7 --d3 9 --json",
     "construct recursive --l 21 --d1 6 --d2 9 --pi 0,3,1,2,4,5 --json",
@@ -104,7 +104,7 @@ GOLDEN = {
     'construct recursive --l 21 --d1 6 --d2 9 --pi 0,3,1,2,4,5 --shift-k 4': (0, '0e1b375c742ee9b3e8f4ca28fb560213d1b2f0456f5271f96e2e4689956003f2'),
     'construct recursive --l 15 --d1 6 --d2 9 --pi 0,3,1,2,4,5 --shift-k 2': (0, 'aff3eb80065b8ae223900ec826dcfb73a128f82f927a8a7338d2e58d4c6ffe1f'),
     'construct recursive --l 15 --d1 6 --d2 9 --pi 0,3,1,2,4,5': (0, '707b2f035b6f073d604ec09e8fdab656638d7376b2e82931e6b8af4eba646c75'),
-    'construct pair --l 25 --d1 7 --d2 9 --unchecked --shift-k 3': (0, '8b797a0c23e04e624e5255c8b1c882e52f79df6adc480c0aec64e61b56482d9c'),
+    'construct pair --l 25 --d1 7 --d2 9 --unchecked --shift-k 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'construct triple --l 25 --d1 6 --d2 7 --d3 9 --json': (0, '731f9b84dbb535d138a00c2775242405bffd63af04bda5e26f1dfd38b928ffd0'),
     'construct recursive --l 21 --d1 6 --d2 9 --pi 0,3,1,2,4,5 --json': (0, '86d38e53d03bcc11b3e89493de0306b6dba6b1f2a700c6aa6b1e1aca58c5496a'),
     'seed b1 --N 9 --json': (0, '24c7dd6d3fa67df624134ea00a37872a9365370dbc61fb523dcd26f64246722c'),

@@ -16,6 +16,9 @@ from fhskit import (
     is_du,
 )
 from fhskit.numtheory import smallest_prime_factor, units
+from fhskit.seeds import CyclotomyParams, cyclotomic_construct
+
+from gf_reference import RefField, reference_cyclotomic
 
 
 class TestFactorize:
@@ -135,15 +138,18 @@ class TestGfContext:
 
     def test_gf25_generator_order(self):
         ctx = GfContext(5, (2, 4, 1))
-        powers = [ctx.pow(ctx.omega, k) for k in range(1, 25)]
+        ref = RefField(5, (2, 4, 1))
+        assert ctx.omega == ref.x
+        powers = [ref.pow(ctx.omega, k) for k in range(1, 25)]
         assert powers[-1] == ctx.one
         assert all(p != ctx.one for p in powers[:-1])
 
     def test_exp_is_homomorphism(self):
         ctx = GfContext(5, (2, 4, 1))
+        ref = RefField(5, (2, 4, 1))
         for a in range(24):
             for b in range(24):
-                assert ctx.mul(ctx.exp(a), ctx.exp(b)) == ctx.exp((a + b) % 24)
+                assert ref.mul(ctx.exp(a), ctx.exp(b)) == ctx.exp((a + b) % 24)
 
     def test_log_exp_round_trip(self):
         ctx = GfContext(5, (2, 4, 1))
@@ -152,21 +158,22 @@ class TestGfContext:
 
     def test_log_table_is_bijection(self):
         ctx = GfContext(5, (2, 4, 1))
-        nonzero = set(ctx.elements()) - {ctx.zero}
+        nonzero = set(RefField(5, (2, 4, 1)).elements()) - {ctx.zero}
         assert {ctx.exp(k) for k in range(24)} == nonzero
 
     def test_field_axioms_gf25(self):
         ctx = GfContext(5, (2, 4, 1))
-        els = ctx.elements()
+        ref = RefField(5, (2, 4, 1))
+        els = ref.elements()
         for a in els:
             for b in els:
-                assert ctx.add(a, b) == ctx.add(b, a)
-                assert ctx.mul(a, b) == ctx.mul(b, a)
+                assert ref.add(a, b) == ref.add(b, a)
+                assert ref.mul(a, b) == ref.mul(b, a)
                 for c in els[:5]:
-                    assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-                    assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+                    assert ref.mul(ref.mul(a, b), c) == ref.mul(a, ref.mul(b, c))
+                    assert ref.mul(a, ref.add(b, c)) == ref.add(ref.mul(a, b), ref.mul(a, c))
             if a != ctx.zero:
-                assert ctx.mul(a, ctx.exp(-ctx.log(a))) == ctx.one
+                assert ref.mul(a, ctx.exp(-ctx.log(a))) == ctx.one
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_accepted_moduli_are_exactly_the_primitive_ones(self, p):
@@ -205,6 +212,49 @@ class TestGfContext:
                 accepted.append(mod)
             assert not reducible.intersection(accepted), degree
             assert len(accepted) == totient(p**degree - 1) // degree, degree
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_tables_match_reference_powers(self, p):
+        # every monic modulus of degree <= 4 with a nonzero constant term: the
+        # primitive ones build, and their exp/log tables are the powers of x
+        # in the reference arithmetic; the others are refused
+        for degree in range(1, 5):
+            for tail in product(range(p), repeat=degree):
+                mod = tail + (1,)
+                ref = RefField(p, mod)
+                if mod[0] == 0 or not ref.x_is_primitive():
+                    with pytest.raises(ParameterError, match="not primitive"):
+                        GfContext(p, mod)
+                    continue
+                ctx = GfContext(p, mod)
+                assert (ctx.zero, ctx.one, ctx.omega) == (ref.zero, ref.one, ref.x)
+                for k, w in enumerate(ref.powers_of_x()):
+                    assert ctx.exp(k) == w, (mod, k)
+                    assert ctx.log(w) == k, (mod, k)
+                for k in (0, 1, ref.q - 2, ref.q - 1, 5 * ref.q):
+                    assert ctx.exp(k) == ref.pow(ref.x, k), (mod, k)
+
+    @pytest.mark.parametrize(
+        "p, modulus",
+        (
+            (2, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)),  # GF(2^16): the XOR path
+            (3, (2, 1, 2, 1, 2, 2, 2, 2, 0, 1, 1)),  # GF(3^10): 40 bits of guarded fields
+            (251, (104, 71, 1)),  # GF(251^2): the widest fields, b = 10
+        ),
+        ids=("gf2_16", "gf3_10", "gf251_2"),
+    )
+    def test_cyclotomic_matches_reference_loop(self, p, modulus):
+        ctx = GfContext(p, modulus)
+        e = (ctx.q - 1) // 2 if p > 2 else (ctx.q - 1) // 3
+        built = cyclotomic_construct(CyclotomyParams(ctx, e))
+        assert built.symbols == reference_cyclotomic(RefField(p, modulus), e)
+
+    def test_log_refuses_non_canonical_tuples(self):
+        ctx = GfContext(5, (2, 4, 1))
+        for bad in ((5, 0), (0, 0, 1), (0,), (-1, 0), (1, 5)):
+            with pytest.raises(ParameterError, match="not a canonical element"):
+                ctx.log(bad)
+        assert ctx.log([1, 0]) == 0
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ParameterError):
